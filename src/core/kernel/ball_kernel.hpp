@@ -114,26 +114,24 @@ class BallProcessCore {
   /// Executes one synchronous round; returns end-of-round statistics.
   Stats step() {
     if constexpr (kShardedExec) {
-      step_sharded();
+      run_sharded(1);
     } else {
       step_sequential();
+      ++round_;
     }
-    ++round_;
-    return Variant::make_stats(max_load_, empty_, last_departures_, balls_,
-                               last_arrivals_);
+    return current_stats();
   }
 
   /// Executes `rounds` rounds; returns the stats of the last one (the
-  /// current state when rounds == 0).  Multi-round sharded runs take
-  /// the pipelined path (double-buffered throw/commit overlap on a
-  /// resident worker team -- pipeline.hpp) when the executor can host
-  /// one and RBB_PIPELINE is not 0; trajectories are bit-identical to
-  /// the barriered per-step loop either way (pinned by tests/par/).
+  /// current state when rounds == 0).  A sharded run is one block on
+  /// the round driver (pipeline.hpp), which overlaps adjacent rounds on
+  /// a resident worker team; trajectories are bit-identical to the
+  /// per-step loop (pinned by tests/par/).
   Stats run(std::uint64_t rounds) {
     if constexpr (kShardedExec) {
-      if (rounds > 1 && pipeline_enabled() && run_sharded_pipelined(rounds)) {
-        return Variant::make_stats(max_load_, empty_, last_departures_,
-                                   balls_, last_arrivals_);
+      if (rounds > 0) {
+        run_sharded(rounds);
+        return current_stats();
       }
     }
     Stats stats = Variant::make_stats(max_load_, empty_, 0, balls_, 0);
@@ -594,16 +592,15 @@ class BallProcessCore {
 
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line.  The per-round fields are reset by each round's
-  /// phase bodies (so after a pipelined run they hold the LAST round's
-  /// values); the cum_* fields accumulate across a pipelined run, whose
-  /// single final reduction replaces the per-round one.
+  /// phase bodies (so after a block they hold the LAST round's values);
+  /// the cum_* fields accumulate across the block, whose single final
+  /// reduction (run_sharded) folds them into the kernel totals.
   struct alignas(64) StripeAcc {
     std::uint32_t departures = 0;
     load_t max = 0;
     std::uint32_t zeros = 0;
-    std::uint32_t newly_emptied = 0;  // Tetris first-empty bookkeeping
     std::uint64_t cum_departures = 0;
-    std::uint32_t cum_newly_emptied = 0;
+    std::uint32_t cum_newly_emptied = 0;  // Tetris first-empty bookkeeping
   };
 
   /// Phase 1 (throw) for one stripe of round r: departures +
@@ -739,7 +736,6 @@ class BallProcessCore {
     StripeAcc& acc = acc_[g];
     acc.max = 0;
     acc.zeros = 0;
-    acc.newly_emptied = 0;
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
       for (std::uint32_t src = 0; src < stripes; ++src) {
@@ -760,7 +756,7 @@ class BallProcessCore {
             // at most one ball.
             if (variant_.first_empty_[u] == kNeverEmptied) {
               variant_.first_empty_[u] = r + 1;
-              ++acc.newly_emptied;
+              ++acc.cum_newly_emptied;
             }
           }
         } else if (load > acc.max) {
@@ -773,72 +769,25 @@ class BallProcessCore {
         obs::record_span("rescan", rs0, rs1);
       }
     }
-    acc.cum_newly_emptied += acc.newly_emptied;
   }
 
-  void step_sharded()
+  /// Runs a block of `rounds` >= 1 rounds on the round driver
+  /// (pipeline.hpp), alternating between buffers_ and buffers_alt_ by
+  /// round parity so a worker's throw of round i+1 may overlap peers'
+  /// commits of round i.  Same draws and canonical commit order as the
+  /// sequential counter-stream sibling.
+  void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint64_t r = round_;
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
-
-    const ball_count_t arrivals = draw_arrival_count(r);
-
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      throw_stripe(g, r, arrivals, buffers_.data());
-    });
-    if constexpr (kKind == BallVariantKind::kDChoices ||
-                  kKind == BallVariantKind::kThreshold) {
-      exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-        choose_stripe(g, r, buffers_.data());
-      });
-    }
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      commit_stripe(g, r, buffers_.data());
-    });
-
-    // Fixed-order reduction over stripes.
-    std::uint32_t departures = 0;
-    max_load_ = 0;
-    empty_ = 0;
-    for (const StripeAcc& acc : acc_) {
-      departures += acc.departures;
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      if constexpr (kKind == BallVariantKind::kTetris) {
-        variant_.not_yet_emptied_ -= acc.newly_emptied;
-      }
-    }
-    if constexpr (kRefill) {
-      balls_ -= departures;
-      balls_ += arrivals;
-      last_arrivals_ = arrivals;
-    }
-    last_departures_ = departures;
-  }
-
-  /// The pipelined multi-round path (pipeline.hpp): one resident worker
-  /// team runs all `rounds` rounds, alternating between buffers_ and
-  /// buffers_alt_ by round parity so a worker's throw of round i+1 may
-  /// overlap peers' commits of round i.  Returns false -- having
-  /// executed nothing -- when the executor cannot host a team of at
-  /// least 2; trajectories are bit-identical to `rounds` barriered
-  /// step() calls (same draws, same canonical commit order).
-  bool run_sharded_pipelined(std::uint64_t rounds)
-    requires kShardedExec
-  {
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
+    const std::uint32_t stripes = exec_.plan().stripe_count();
     const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (width < 2) return false;
     constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
                              kKind == BallVariantKind::kLeaky;
     constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
                              kKind == BallVariantKind::kThreshold;
-    if (buffers_alt_.empty()) buffers_alt_.resize(buffers_.size());
+    if (rounds > 1 && width > 1 && buffers_alt_.empty()) {
+      buffers_alt_.resize(buffers_.size());
+    }
 
     // Fresh-arrival counts are drawn sequentially up front: the leaky
     // law is a shared distribution object (not thread-safe), and the
@@ -857,9 +806,10 @@ class BallProcessCore {
     }
     const std::uint64_t r0 = round_;
     const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 ? buffers_.data() : buffers_alt_.data();
+      return (i & 1) == 0 || buffers_alt_.empty() ? buffers_.data()
+                                                  : buffers_alt_.data();
     };
-    const bool ran = run_pipeline(
+    run_pipeline(
         exec_.stripes(), stripes, width, rounds, kChoose,
         [&](std::uint32_t g, std::uint64_t i) {
           throw_stripe(g, r0 + i,
@@ -872,10 +822,9 @@ class BallProcessCore {
         [&](std::uint32_t g, std::uint64_t i) {
           commit_stripe(g, r0 + i, bufs(i));
         });
-    if (!ran) return false;
 
-    // One reduction for the whole run: the per-round acc fields hold
-    // the last round's values, the cum_* fields the run totals.
+    // Fixed-order reduction over stripes: the per-round acc fields hold
+    // the last round's values, the cum_* fields the block totals.
     std::uint64_t total_departures = 0;
     std::uint32_t departures = 0;
     max_load_ = 0;
@@ -896,7 +845,11 @@ class BallProcessCore {
     }
     last_departures_ = departures;
     round_ += rounds;
-    return true;
+  }
+
+  [[nodiscard]] Stats current_stats() const {
+    return Variant::make_stats(max_load_, empty_, last_departures_, balls_,
+                               last_arrivals_);
   }
 
   LoadConfig loads_;
@@ -919,10 +872,10 @@ class BallProcessCore {
   /// buffers_[stripe * shard_count + target_shard]: destinations thrown
   /// by `stripe` into `target_shard` this round.  Cleared (capacity
   /// kept) by the phase-2 task that drains them.  Sharded only.
-  /// buffers_alt_ is the odd-parity twin used by the pipelined path
-  /// (run_sharded_pipelined): round i throws into the parity-(i&1) set
-  /// so throw(i+1) never touches buffers a peer is still committing.
-  /// Sized lazily on the first pipelined run.
+  /// buffers_alt_ is the odd-parity twin (run_sharded): block round i
+  /// throws into the parity-(i&1) set so throw(i+1) never touches
+  /// buffers a peer is still committing.  Sized lazily on the first
+  /// block of >= 2 rounds on a team of >= 2 workers.
   std::vector<std::vector<bin_index_t>> buffers_;
   std::vector<std::vector<bin_index_t>> buffers_alt_;
   std::vector<StripeAcc> acc_;

@@ -1,13 +1,16 @@
-// Pipelined round loop for the sharded kernels (DESIGN.md Sect. 5,
+// The round driver of the sharded kernels (DESIGN.md Sect. 5,
 // "Pipelined execution").
 //
-// The barriered path runs every round as two (or three) fork/join
-// for_stripes batches with a full pool barrier between phases.  This
-// driver replaces that with ONE resident worker team for the whole
-// multi-round run: stripes are statically assigned to team workers
-// (stripe g -> worker g % width), and workers advance through the
-// phase sequence by publishing per-worker epoch counters
-// (acquire/release; no locks, no pool traffic on the hot path).
+// Every sharded round -- a single step() as well as a batched
+// run(rounds) -- executes through run_pipeline: ONE resident worker
+// team for the whole block of rounds, stripes statically assigned to
+// team workers (stripe g -> worker g % width), and workers advancing
+// through the phase sequence by publishing per-worker epoch counters
+// (acquire/release; no locks, no pool traffic on the hot path).  When
+// the executor cannot host a concurrent team (threads = 1, pool busy,
+// nested without a grant) the same per-worker body runs inline at
+// width 1: worker 0 owns every stripe and every wait is trivially
+// satisfied, so it does not wait at all.
 //
 // Per round i, each worker executes
 //
@@ -65,17 +68,15 @@ struct alignas(64) EpochCell {
 
 }  // namespace detail
 
-/// Runs `rounds` pipelined rounds of (throw_fn, [choose_fn,] commit_fn)
-/// over stripes [0, stripe_count) on a resident team of `width` workers
-/// (width <= stripe_count; callers clamp).  Phase callables receive
-/// (stripe, round_index).  Returns false -- having executed nothing --
-/// when the executor cannot host a concurrent team (inline execution,
-/// pool busy, nested without a grant); the caller then falls back to
-/// barriered rounds.  The first exception thrown by a phase body aborts
-/// the remaining rounds cooperatively and is rethrown here, leaving
-/// kernel state partially advanced exactly like the barriered path.
+/// Runs `rounds` rounds of (throw_fn, [choose_fn,] commit_fn) over
+/// stripes [0, stripe_count): on a resident team of `width` workers
+/// (width <= stripe_count; callers clamp) when width >= 2 and the
+/// executor accepts the team, otherwise inline at width 1.  Phase
+/// callables receive (stripe, round_index).  The first exception thrown
+/// by a phase body aborts the remaining rounds cooperatively and is
+/// rethrown here, leaving kernel state partially advanced.
 template <typename ThrowFn, typename ChooseFn, typename CommitFn>
-bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
+void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
                   std::uint32_t width, std::uint64_t rounds, bool has_choose,
                   ThrowFn&& throw_fn, ChooseFn&& choose_fn,
                   CommitFn&& commit_fn) {
@@ -125,18 +126,21 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
     return ok;
   };
 
-  const bool ran = stripes.run_team(width, [&](std::uint32_t w) {
+  // Worker w of a team of `team` workers.  At team == 1 nothing can be
+  // outstanding, so the waits and the overlap probe are skipped.
+  const auto worker = [&](std::uint32_t w, std::uint32_t team) {
+    const bool waits = team > 1;
     try {
       for (std::uint64_t i = 0; i < rounds; ++i) {
         if (abort.load(std::memory_order_acquire)) return;
 
         // Overlap telemetry: if any peer is still committing round i-1
         // when this worker starts throwing round i, the whole throw
-        // block is work hidden behind a commit that the barriered path
-        // would have stalled on.  Granularity is one throw phase --
-        // an honest upper-bound sample, documented in metrics.hpp.
+        // block is work hidden behind a commit that a per-round barrier
+        // would have stalled on.  Granularity is one throw phase -- an
+        // honest upper-bound sample, documented in metrics.hpp.
         std::uint64_t o0 = 0;
-        if (i > 0 && obs::enabled()) {
+        if (waits && i > 0 && obs::enabled()) {
           for (const detail::EpochCell& cell : commit_done) {
             if (cell.value.load(std::memory_order_relaxed) < i) {
               o0 = obs::now_ns();
@@ -144,27 +148,27 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
             }
           }
         }
-        for (std::uint32_t g = w; g < stripe_count; g += width) {
+        for (std::uint32_t g = w; g < stripe_count; g += team) {
           throw_fn(g, i);
         }
         if (o0 != 0) {
           obs::add_phase_ns(obs::Phase::kOverlap, obs::now_ns() - o0);
         }
         throw_done[w].value.store(i + 1, std::memory_order_release);
-        if (!wait_all(throw_done, i + 1)) return;
+        if (waits && !wait_all(throw_done, i + 1)) return;
 
         if (has_choose) {
           // Choose reads post-departure loads of arbitrary bins, so it
           // needs all throws of round i (the wait above) and must fully
           // precede any commit of round i (the wait below).
-          for (std::uint32_t g = w; g < stripe_count; g += width) {
+          for (std::uint32_t g = w; g < stripe_count; g += team) {
             choose_fn(g, i);
           }
           choose_done[w].value.store(i + 1, std::memory_order_release);
-          if (!wait_all(choose_done, i + 1)) return;
+          if (waits && !wait_all(choose_done, i + 1)) return;
         }
 
-        for (std::uint32_t g = w; g < stripe_count; g += width) {
+        for (std::uint32_t g = w; g < stripe_count; g += team) {
           commit_fn(g, i);
         }
         commit_done[w].value.store(i + 1, std::memory_order_release);
@@ -176,10 +180,13 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
       }
       abort.store(true, std::memory_order_release);
     }
-  });
-  if (!ran) return false;
+  };
+
+  const bool team_ran =
+      width >= 2 &&
+      stripes.run_team(width, [&](std::uint32_t w) { worker(w, width); });
+  if (!team_ran) worker(0, 1);
   if (first_error) std::rethrow_exception(first_error);
-  return true;
 }
 
 }  // namespace rbb::kernel

@@ -127,23 +127,22 @@ class TokenProcessCore {
   /// the queue policy.
   void step() {
     if constexpr (kShardedExec) {
-      step_sharded();
+      run_sharded(1);
     } else {
       step_sequential();
+      ++round_;
     }
-    ++round_;
   }
 
-  /// Runs `rounds` rounds.  Multi-round sharded runs take the pipelined
-  /// path (pipeline.hpp) when the executor can host a resident team and
-  /// RBB_PIPELINE is not 0; trajectories are bit-identical either way.
+  /// Runs `rounds` rounds.  A sharded run is one block on the round
+  /// driver (pipeline.hpp); trajectories are bit-identical to the
+  /// per-step loop.
   void run(std::uint64_t rounds) {
     if constexpr (kShardedExec) {
-      if (rounds > 1 && pipeline_enabled() && run_sharded_pipelined(rounds)) {
-        return;
-      }
+      if (rounds > 0) run_sharded(rounds);
+    } else {
+      for (std::uint64_t t = 0; t < rounds; ++t) step();
     }
-    for (std::uint64_t t = 0; t < rounds; ++t) step();
   }
 
   /// Runs until every token has covered all bins or `max_rounds`
@@ -407,8 +406,7 @@ class TokenProcessCore {
   struct alignas(64) StripeAcc {
     load_t max = 0;
     std::uint32_t zeros = 0;
-    std::uint32_t newly_covered = 0;
-    std::uint32_t cum_newly_covered = 0;  // across a pipelined run
+    std::uint32_t cum_newly_covered = 0;  // across a run_sharded block
   };
 
   /// Scatter loops prefetch this many arrivals ahead: at mega n the
@@ -577,7 +575,6 @@ class TokenProcessCore {
     StripeAcc& acc = acc_[g];
     acc.max = 0;
     acc.zeros = 0;
-    acc.newly_covered = 0;
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
       for (std::uint32_t src = 0; src < plan.stripe_count(); ++src) {
@@ -593,7 +590,7 @@ class TokenProcessCore {
           const Arrival& arrival = buf[i];
           store_.push(arrival.dest, arrival.token);
           if (mark_visited(arrival.token, arrival.dest, r + 1)) {
-            ++acc.newly_covered;
+            ++acc.cum_newly_covered;
           }
         }
         buf.clear();
@@ -613,52 +610,28 @@ class TokenProcessCore {
         obs::record_span("rescan", rs0, rs1);
       }
     }
-    acc.cum_newly_covered += acc.newly_covered;
   }
 
-  void step_sharded()
+  /// Runs a block of `rounds` >= 1 rounds on the round driver
+  /// (pipeline.hpp), buffers alternating by round parity.  The
+  /// token-store happens-before chain is the epoch protocol: a pop
+  /// (throw, own bins) is ordered before the committer's push of the
+  /// same token by the released/acquired throw_done epoch.
+  void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint64_t r = round_;
-    const ShardPlan& plan = exec_.plan();
-
-    exec_.stripes().for_stripes(plan.stripe_count(), [&](std::uint32_t g) {
-      throw_stripe(g, r, buffers_.data());
-    });
-    exec_.stripes().for_stripes(plan.stripe_count(), [&](std::uint32_t g) {
-      commit_stripe(g, r, buffers_.data());
-    });
-
-    max_load_ = 0;
-    empty_ = 0;
-    for (const StripeAcc& acc : acc_) {
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      covered_tokens_ += acc.newly_covered;
-    }
-    stats_dirty_ = false;  // the commit rescan just paid for them
-  }
-
-  /// The pipelined multi-round path (pipeline.hpp): one resident team,
-  /// buffers alternating by round parity, bit-identical to `rounds`
-  /// barriered steps.  The token-store happens-before chain is the
-  /// epoch protocol: a pop (throw, own bins) is ordered before the
-  /// committer's push of the same token by the released/acquired
-  /// throw_done epoch.  Returns false when no team can be hosted.
-  bool run_sharded_pipelined(std::uint64_t rounds)
-    requires kShardedExec
-  {
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
+    const std::uint32_t stripes = exec_.plan().stripe_count();
     const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (width < 2) return false;
-    if (buffers_alt_.empty()) buffers_alt_.resize(buffers_.size());
+    if (rounds > 1 && width > 1 && buffers_alt_.empty()) {
+      buffers_alt_.resize(buffers_.size());
+    }
     for (StripeAcc& acc : acc_) acc.cum_newly_covered = 0;
     const std::uint64_t r0 = round_;
     const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 ? buffers_.data() : buffers_alt_.data();
+      return (i & 1) == 0 || buffers_alt_.empty() ? buffers_.data()
+                                                  : buffers_alt_.data();
     };
-    const bool ran = run_pipeline(
+    run_pipeline(
         exec_.stripes(), stripes, width, rounds, /*has_choose=*/false,
         [&](std::uint32_t g, std::uint64_t i) {
           throw_stripe(g, r0 + i, bufs(i));
@@ -667,8 +640,8 @@ class TokenProcessCore {
         [&](std::uint32_t g, std::uint64_t i) {
           commit_stripe(g, r0 + i, bufs(i));
         });
-    if (!ran) return false;
 
+    // Fixed-order reduction over stripes.
     max_load_ = 0;
     empty_ = 0;
     for (const StripeAcc& acc : acc_) {
@@ -676,9 +649,8 @@ class TokenProcessCore {
       empty_ += acc.zeros;
       covered_tokens_ += acc.cum_newly_covered;
     }
-    stats_dirty_ = false;
+    stats_dirty_ = false;  // the commit rescan just paid for them
     round_ += rounds;
-    return true;
   }
 
   void rebuild_queues(const std::vector<bin_index_t>& placement) {
@@ -746,7 +718,8 @@ class TokenProcessCore {
 
   /// buffers_[stripe * shard_count + target_shard], ascending releasing
   /// bin within each buffer.  Sharded only.  buffers_alt_ is the
-  /// odd-parity twin of the pipelined path, sized lazily on first use.
+  /// odd-parity twin (run_sharded), sized lazily on the first block of
+  /// >= 2 rounds on a team of >= 2 workers.
   std::vector<std::vector<Arrival>> buffers_;
   std::vector<std::vector<Arrival>> buffers_alt_;
   std::vector<StripeAcc> acc_;

@@ -41,8 +41,8 @@ namespace {
 /// Wall seconds for `rounds` rounds of `proc` after one untimed warm-up
 /// round (faults in the arrays and sizes the scatter buffers).  When the
 /// process has a batched run(), the whole block goes through it so the
-/// sharded kernels take the pipelined multi-round path -- the thing this
-/// experiment is meant to measure; step()-only processes keep the loop.
+/// sharded kernels overlap adjacent rounds -- the thing this experiment
+/// is meant to measure; step()-only processes keep the loop.
 template <typename Process>
 double time_rounds(Process& proc, std::uint64_t rounds) {
   proc.step();
@@ -72,10 +72,9 @@ void register_sharded_scaling(Registry& registry) {
       "(isolating the RNG swap), and the sharded two-phase kernel "
       "(src/par/) at several worker counts.  One round of one instance "
       "runs across all cores; the timed block is a single batched run() "
-      "so multi-round pipelining (double-buffered throw/commit overlap; "
-      "RBB_PIPELINE=0 falls back to the barriered rounds) is what gets "
-      "measured, and trajectories are bit-identical for every thread "
-      "count and shard size.  n sweeps by scale up to 10^8 at "
+      "so multi-round pipelining (double-buffered throw/commit overlap) "
+      "is what gets measured, and trajectories are bit-identical for "
+      "every thread count and shard size.  n sweeps by scale up to 10^8 at "
       "--scale=mega for all four variants (token rows are uncapped: the "
       "flat implicit-FIFO store is 8m + 12n bytes); --n times a single "
       "size instead.  --threads fixes a single worker count, otherwise "

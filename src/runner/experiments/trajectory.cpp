@@ -181,11 +181,11 @@ void register_trajectory(Registry& registry) {
   e.run = [](const RunContext& ctx) {
     TrajectorySpec s;
     s.family = ctx.params.str("family");
-    s.n = ctx.params.u64("n");
+    s.n = ctx.params.u32("n");
     s.rounds = ctx.params.u64("rounds");
     s.sample_every = ctx.params.u64("sample-every");
     s.seed = ctx.seed();
-    s.d = ctx.params.u64("d");
+    s.d = ctx.params.u32("d");
     s.lambda = ctx.params.f64("lambda");
     s.policy = ctx.params.str("policy");
     s.arrivals = ctx.params.u64("arrivals");
@@ -290,7 +290,7 @@ void register_trajectory(Registry& registry) {
     Rng cfg_rng(s.seed);
     const par::ShardedOptions opts{
         .threads = ctx.threads(),
-        .shard_size = static_cast<std::uint32_t>(ctx.params.u64("shard-size"))};
+        .shard_size = ctx.params.u32("shard-size")};
     if (s.family == "load") {
       LoadConfig config = make_config(InitialConfig::kOnePerBin, n32, s.n,
                                       cfg_rng);

@@ -87,8 +87,9 @@ class ThreadPool {
   /// returns false WITHOUT RUNNING ANYTHING when the team cannot be
   /// guaranteed concurrent: too many tasks, the pool is mid-batch, or
   /// the call comes from inside a pool task without an applicable
-  /// NestedParallelismGrant.  Callers fall back to their barriered path
-  /// on false.  Exceptions from team tasks are rethrown like for_each.
+  /// NestedParallelismGrant.  The sharded round driver runs its rounds
+  /// inline at width 1 on false.  Exceptions from team tasks are
+  /// rethrown like for_each.
   template <typename Fn>
   bool run_team(std::uint64_t count, Fn&& fn) {
     if (count == 0) return true;

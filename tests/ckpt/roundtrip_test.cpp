@@ -180,8 +180,8 @@ TEST(CkptRoundtrip, RestoreRejectsMismatchedShape) {
   EXPECT_THROW(big.restore(r), std::exception);
 }
 
-// Pipelined continuation: multi-round sharded runs take the
-// double-buffered pipelined path when enabled; a restored process must
+// Pipelined continuation: a multi-round sharded run overlaps adjacent
+// rounds on double-buffered scatter buffers; a restored process must
 // feed it identically.  Named CkptPipelined.* so the TSan CI job can
 // select it alongside the other pipelined suites.
 TEST(CkptPipelined, RestoredShardedRunMatchesOracle) {
@@ -203,7 +203,7 @@ TEST(CkptPipelined, RestoredShardedRunMatchesOracle) {
   serial::ByteReader r(mid);
   resumed.restore(r);
   ASSERT_TRUE(r.done());
-  resumed.run(200 - 73);  // long enough to engage the pipelined path
+  resumed.run(200 - 73);  // a multi-round block: rounds overlap
   EXPECT_EQ(snapshot_of(resumed), want);
 }
 

@@ -147,8 +147,9 @@ TEST_F(MetricsTest, BarrierWaitFractionDividesWaitByWaitPlusBusy) {
 TEST_F(MetricsTest, BarrierWaitFractionFoldsInEpochWait) {
   // Pipelined runs spin inside team task bodies (kEpochWait is a slice
   // of kPoolTask), so the fraction adds the spin to the numerator only.
-  // With zero epoch_wait -- every barriered run -- the value reduces to
-  // the pre-pipeline formula, pinned by the test above.
+  // With zero epoch_wait -- width-1 inline rounds, plain for_each
+  // batches -- the value reduces to the pre-pipeline formula, pinned
+  // by the test above.
   MetricsSnapshot snap;
   snap.phase_ns[static_cast<std::size_t>(Phase::kBarrierWait)] = 25;
   snap.phase_ns[static_cast<std::size_t>(Phase::kPoolTask)] = 75;
@@ -157,9 +158,9 @@ TEST_F(MetricsTest, BarrierWaitFractionFoldsInEpochWait) {
 }
 
 TEST_F(MetricsTest, PipelineFillFractionIsZeroWithoutPipelinedRounds) {
-  // The no-overlap pin: barriered execution records neither kOverlap
-  // nor kEpochWait, so the fraction stays exactly 0 and the metrics
-  // block of old runs is unchanged.
+  // The no-overlap pin: plain for_each batches and width-1 inline
+  // rounds record neither kOverlap nor kEpochWait, so the fraction
+  // stays exactly 0.
   const MetricsSnapshot empty;
   EXPECT_EQ(empty.pipeline_fill_fraction(), 0.0);
   MetricsSnapshot barriered;

@@ -8,7 +8,9 @@
 // same code, so this test doubles as a no-op-build smoke.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -113,27 +115,68 @@ TEST(ObsParity, TokenKernelStateUnchangedByTelemetry) {
 }
 
 #if RBB_TELEMETRY
+/// What one instrumented block left behind: the registry scrape and the
+/// captured trace events.
+struct Recorded {
+  MetricsSnapshot snap;
+  std::vector<detail::TraceEvent> events;
+};
+
+/// Runs `body` with metrics and a trace capturing.
+template <typename Body>
+Recorded record(Body body) {
+  return with_mode(Mode::kMetricsAndTrace, [&] {
+    body();
+    return Recorded{scrape(), detail::collect_trace_events()};
+  });
+}
+
+/// A fresh one-ball-per-bin sharded load process on `threads` workers.
+par::ShardedRepeatedBallsProcess load_process(unsigned threads) {
+  Rng cfg_rng(99);
+  return par::ShardedRepeatedBallsProcess(
+      make_config(InitialConfig::kOnePerBin, kN, kN, cfg_rng), kSeed,
+      par::ShardedOptions{.threads = threads, .shard_size = 256});
+}
+
+std::size_t spans_named(const Recorded& rec, std::string_view name) {
+  std::size_t count = 0;
+  for (const detail::TraceEvent& e : rec.events) {
+    if (name == e.name) ++count;
+  }
+  return count;
+}
+
 // The parity above must not be vacuous: in the instrumented build a
 // sharded run really records -- throw/commit phase time, draw-chunk
 // flushes, pool batches.  (Under RBB_TELEMETRY=0 it records nothing by
-// design; the zero-cost contract is pinned in metrics_test.cpp.)
+// design; the zero-cost contract is pinned in metrics_test.cpp.)  It
+// also pins the round driver's dispatch count: every step() is a block
+// of one round and costs exactly one team batch, a run(k) block costs
+// one batch in total, and the width-1 inline case (threads = 1) never
+// waits, so it records no epoch_wait or overlap.
 TEST(ObsParity, InstrumentedRunActuallyRecords) {
-  reset();
-  set_enabled(true);
-  {
-    Rng cfg_rng(99);
-    par::ShardedRepeatedBallsProcess proc(
-        make_config(InitialConfig::kOnePerBin, kN, kN, cfg_rng), kSeed,
-        par::ShardedOptions{.threads = 2, .shard_size = 256});
+  const Recorded stepped = record([] {
+    auto proc = load_process(2);
     for (std::uint64_t r = 0; r < 4; ++r) proc.step();
-  }
-  set_enabled(false);
-  const MetricsSnapshot snap = scrape();
-  reset();
+  });
+  const MetricsSnapshot& snap = stepped.snap;
   EXPECT_GT(snap.phase(Phase::kThrow), 0u);
   EXPECT_GT(snap.phase(Phase::kCommit), 0u);
   EXPECT_GT(snap.counter(Counter::kChunkFlushes), 0u);
   EXPECT_GT(snap.counter(Counter::kPoolBatches), 0u);
+  EXPECT_EQ(snap.counter(Counter::kPoolBatches), 4u);
+
+  const Recorded batched = record([] { load_process(2).run(4); });
+  EXPECT_EQ(batched.snap.counter(Counter::kPoolBatches), 1u);
+
+  const Recorded inline_run = record([] { load_process(1).run(4); });
+  EXPECT_GT(inline_run.snap.phase(Phase::kThrow), 0u);
+  EXPECT_EQ(inline_run.snap.counter(Counter::kPoolBatches), 0u);
+  EXPECT_EQ(inline_run.snap.phase(Phase::kEpochWait), 0u);
+  EXPECT_EQ(inline_run.snap.phase(Phase::kOverlap), 0u);
+  EXPECT_GT(spans_named(inline_run, "rescan"), 0u);
+  EXPECT_EQ(spans_named(inline_run, "epoch_wait"), 0u);
 }
 #endif  // RBB_TELEMETRY
 

@@ -1,11 +1,19 @@
-// Parity tests for the pipelined multi-round path (core/kernel/
-// pipeline.hpp).  run(rounds) takes the double-buffered epoch-protocol
-// path whenever the executor can host a resident team; these tests pin
-// that the pipelined trajectory is bit-identical to the barriered
-// step() loop AND to the sequential counter-stream oracles -- for every
-// kernel family, worker count {1, 2, 8} and shard size {64, 256, 1024}.
-// threads = 1 runs inline (the team is refused, run() falls back to
-// barriered rounds), so that column doubles as a fallback-path check.
+// Parity tests for the sharded round driver (core/kernel/pipeline.hpp).
+// Every sharded round runs through it: run(rounds) is one block of
+// `rounds` rounds on a resident worker team with double-buffered
+// scatter buffers, step() is a block of one round, and when no team can
+// be hosted the same per-worker body runs inline at width 1.  These
+// tests pin that a multi-round block is bit-identical to the per-step
+// loop AND to the sequential counter-stream oracles -- for every kernel
+// family, worker count {1, 2, 8} and shard size {64, 256, 1024}.
+// threads = 1 has no pool, so that column runs the width-1 inline case.
+//
+// The load, token and mixed grids also vary where run() is issued from
+// (Host): the test thread; a task of an outer ThreadPool without a
+// NestedParallelismGrant, where the team is refused and every row runs
+// inline at width 1 whatever its `threads`; and the same task under a
+// grant, where the kernel's own pool hosts the team.  Neither may
+// deadlock, and both must match the oracle.
 //
 // The hot-shard straggler cases are the schedule the pipeline has to
 // survive: one stripe carries (almost) all the work, so its owner
@@ -22,6 +30,7 @@
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"
 #include "par/sharded_variants.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rbb::par {
 namespace {
@@ -38,6 +47,31 @@ const ShardedOptions kGrid[] = {
     {.threads = 8, .shard_size = 1024},
 };
 
+enum class Host { kDirect, kRefusedTeam, kGrantedTeam };
+constexpr Host kHosts[] = {Host::kDirect, Host::kRefusedTeam,
+                           Host::kGrantedTeam};
+
+/// Runs `fn` on the test thread (kDirect) or inside a task of an outer
+/// pool, without (kRefusedTeam) or with (kGrantedTeam) a nesting grant.
+template <typename Fn>
+void on_host(Host host, Fn&& fn) {
+  if (host == Host::kDirect) {
+    fn();
+    return;
+  }
+  ThreadPool outer(1);
+  outer.for_each(1, [&](std::uint64_t) {
+    if (host == Host::kGrantedTeam) {
+      const NestedParallelismGrant grant;
+      EXPECT_TRUE(ThreadPool::nested_allowed(nullptr));
+      fn();
+    } else {
+      EXPECT_FALSE(ThreadPool::nested_allowed(nullptr));
+      fn();
+    }
+  });
+}
+
 LoadConfig start_config(InitialConfig kind = InitialConfig::kOnePerBin) {
   Rng rng(99);
   return make_config(kind, kN, kN, rng);
@@ -45,30 +79,35 @@ LoadConfig start_config(InitialConfig kind = InitialConfig::kOnePerBin) {
 
 // --- load-only --------------------------------------------------------------
 
-TEST(PipelinedParity, LoadMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, LoadMatchesSteppedAndOracle) {
   SequentialCounterProcess oracle(start_config(), kSeed);
   RoundStats want{};
   for (std::uint64_t r = 0; r < kRounds; ++r) want = oracle.step();
 
-  for (const ShardedOptions& options : kGrid) {
-    ShardedRepeatedBallsProcess pipelined(start_config(), kSeed, options);
-    const RoundStats got = pipelined.run(kRounds);
-    EXPECT_EQ(got.max_load, want.max_load);
-    EXPECT_EQ(got.empty_bins, want.empty_bins);
-    EXPECT_EQ(got.departures, want.departures);
-    EXPECT_EQ(pipelined.loads(), oracle.loads());
-    EXPECT_EQ(pipelined.round(), kRounds);
-    ASSERT_NO_THROW(pipelined.check_invariants());
+  for (const Host host : kHosts) {
+    for (const ShardedOptions& options : kGrid) {
+      ShardedRepeatedBallsProcess pipelined(start_config(), kSeed, options);
+      RoundStats got{};
+      on_host(host, [&] { got = pipelined.run(kRounds); });
+      EXPECT_EQ(got.max_load, want.max_load);
+      EXPECT_EQ(got.empty_bins, want.empty_bins);
+      EXPECT_EQ(got.departures, want.departures);
+      EXPECT_EQ(pipelined.loads(), oracle.loads());
+      EXPECT_EQ(pipelined.round(), kRounds);
+      ASSERT_NO_THROW(pipelined.check_invariants());
 
-    ShardedRepeatedBallsProcess barriered(start_config(), kSeed, options);
-    for (std::uint64_t r = 0; r < kRounds; ++r) barriered.step();
-    EXPECT_EQ(pipelined.loads(), barriered.loads());
+      ShardedRepeatedBallsProcess stepped(start_config(), kSeed, options);
+      on_host(host, [&] {
+        for (std::uint64_t r = 0; r < kRounds; ++r) stepped.step();
+      });
+      EXPECT_EQ(pipelined.loads(), stepped.loads());
+    }
   }
 }
 
 TEST(PipelinedParity, LoadRunThenStepContinuesTheSameTrajectory) {
-  // A pipelined run must leave the kernel in a state from which plain
-  // barriered stepping continues the exact oracle trajectory (round
+  // A multi-round block must leave the kernel in a state from which
+  // plain stepping continues the exact oracle trajectory (round
   // counter, scratch and scatter buffers all consistent).
   SequentialCounterProcess oracle(start_config(), kSeed);
   ShardedRepeatedBallsProcess sharded(start_config(), kSeed,
@@ -136,7 +175,7 @@ TEST(PipelinedParity, MixedSurvivesSkewedRateStraggler) {
 
 // --- refill variants (tetris, leaky) ----------------------------------------
 
-TEST(PipelinedParity, TetrisMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, TetrisMatchesOracle) {
   SequentialCounterTetrisProcess oracle(start_config(InitialConfig::kRandom),
                                         kSeed);
   TetrisRoundStats want{};
@@ -182,7 +221,7 @@ TEST(PipelinedParity, LeakyMatchesOracleIncludingArrivalDraws) {
 
 // --- choose-phase variants (d-choices, threshold) ---------------------------
 
-TEST(PipelinedParity, DChoicesMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, DChoicesMatchesOracle) {
   constexpr std::uint32_t kD = 3;
   SequentialCounterDChoicesProcess oracle(start_config(), kD, kSeed);
   DChoicesRoundStats want{};
@@ -215,19 +254,23 @@ TEST(PipelinedParity, ThresholdMatchesOracle) {
 
 // --- token ------------------------------------------------------------------
 
-TEST(PipelinedParity, TokenMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, TokenMatchesOracle) {
   SequentialCounterTokenProcess oracle(kN, identity_placement(kN), kSeed);
   for (std::uint64_t r = 0; r < kRounds; ++r) oracle.step();
 
-  for (const ShardedOptions& options : kGrid) {
-    ShardedTokenProcess pipelined(kN, identity_placement(kN), kSeed, options);
-    pipelined.run(kRounds);
-    EXPECT_EQ(pipelined.loads(), oracle.loads());
-    for (std::uint32_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(pipelined.token_bin(i), oracle.token_bin(i)) << "token " << i;
-      ASSERT_EQ(pipelined.progress(i), oracle.progress(i)) << "token " << i;
+  for (const Host host : kHosts) {
+    for (const ShardedOptions& options : kGrid) {
+      ShardedTokenProcess pipelined(kN, identity_placement(kN), kSeed,
+                                    options);
+      on_host(host, [&] { pipelined.run(kRounds); });
+      EXPECT_EQ(pipelined.loads(), oracle.loads());
+      for (std::uint32_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(pipelined.token_bin(i), oracle.token_bin(i))
+            << "token " << i;
+        ASSERT_EQ(pipelined.progress(i), oracle.progress(i)) << "token " << i;
+      }
+      ASSERT_NO_THROW(pipelined.check_invariants());
     }
-    ASSERT_NO_THROW(pipelined.check_invariants());
   }
 }
 
@@ -249,26 +292,29 @@ TEST(PipelinedParity, TokenHotQueueStraggler) {
 
 // --- mixed ------------------------------------------------------------------
 
-TEST(PipelinedParity, MixedMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, MixedMatchesOracle) {
   const MixedSpec spec = make_mixed_spec(1024, 8.0, "zipf", "capped");
   SequentialCounterMixedProcess oracle(spec, kSeed);
   MixedRoundStats want{};
   for (std::uint64_t r = 0; r < kRounds; ++r) want = oracle.step();
 
-  for (const ShardedOptions& options : kGrid) {
-    ShardedMixedProcess pipelined(spec, kSeed, options);
-    const MixedRoundStats got = pipelined.run(kRounds);
-    EXPECT_EQ(got.max_load, want.max_load);
-    EXPECT_EQ(got.empty_bins, want.empty_bins);
-    EXPECT_EQ(got.departures, want.departures);
-    EXPECT_EQ(got.drops, want.drops);
-    EXPECT_EQ(got.max_weighted_load, want.max_weighted_load);
-    EXPECT_EQ(got.total_balls, want.total_balls);
-    EXPECT_EQ(got.total_weight, want.total_weight);
-    EXPECT_EQ(pipelined.loads(), oracle.loads());
-    EXPECT_EQ(pipelined.dropped_balls(), oracle.dropped_balls());
-    EXPECT_EQ(pipelined.dropped_weight(), oracle.dropped_weight());
-    ASSERT_NO_THROW(pipelined.check_invariants());
+  for (const Host host : kHosts) {
+    for (const ShardedOptions& options : kGrid) {
+      ShardedMixedProcess pipelined(spec, kSeed, options);
+      MixedRoundStats got{};
+      on_host(host, [&] { got = pipelined.run(kRounds); });
+      EXPECT_EQ(got.max_load, want.max_load);
+      EXPECT_EQ(got.empty_bins, want.empty_bins);
+      EXPECT_EQ(got.departures, want.departures);
+      EXPECT_EQ(got.drops, want.drops);
+      EXPECT_EQ(got.max_weighted_load, want.max_weighted_load);
+      EXPECT_EQ(got.total_balls, want.total_balls);
+      EXPECT_EQ(got.total_weight, want.total_weight);
+      EXPECT_EQ(pipelined.loads(), oracle.loads());
+      EXPECT_EQ(pipelined.dropped_balls(), oracle.dropped_balls());
+      EXPECT_EQ(pipelined.dropped_weight(), oracle.dropped_weight());
+      ASSERT_NO_THROW(pipelined.check_invariants());
+    }
   }
 }
 

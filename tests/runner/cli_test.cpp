@@ -308,6 +308,41 @@ TEST(Cli, RunReportsOversizedU32CleanlyInsteadOfTruncating) {
   EXPECT_NE(r.err.find("exceeds the 32-bit range"), std::string::npos);
 }
 
+// A u32-valued parameter given a value past 2^32 - 1 must fail with a
+// named error (exit 1, the flag in the message), never narrow silently:
+// narrowed to 32 bits, --n=4294967297 would simulate a single bin while
+// the result records n = 2^32 + 1.
+void expect_u32_rejected(const std::vector<std::string>& args,
+                         const std::string& flag) {
+  const CliResult r = rbb(args);
+  EXPECT_EQ(r.code, 1) << flag;
+  EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+  EXPECT_NE(r.err.find("exceeds the 32-bit range"), std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, TrajectoryRejectsNOfTwoToThe32) {
+  expect_u32_rejected({"run", "trajectory", "--n=4294967296", "--rounds=3"},
+                      "--n=4294967296");
+}
+
+TEST(Cli, TrajectoryRejectsNOfTwoToThe32PlusOne) {
+  expect_u32_rejected({"run", "trajectory", "--n=4294967297", "--rounds=3"},
+                      "--n=4294967297");
+}
+
+TEST(Cli, TrajectoryRejectsOversizedShardSize) {
+  expect_u32_rejected({"run", "trajectory", "--n=64", "--rounds=3",
+                       "--backend=sharded", "--shard-size=4294967296"},
+                      "--shard-size=4294967296");
+}
+
+TEST(Cli, ThresholdAllocationRejectsOversizedThreshold) {
+  expect_u32_rejected({"run", "threshold_allocation", "--scale=smoke",
+                       "--threshold=4294967296"},
+                      "--threshold=4294967296");
+}
+
 TEST(Cli, RunReportsDriverRejectionsCleanly) {
   // n = 1 is rejected inside run_stability ("n < 2"); the CLI must turn
   // that into exit 1 + message, not std::terminate.
