@@ -17,7 +17,7 @@
 #include "core/config.hpp"
 #include "core/faults.hpp"
 #include "core/mixed_config.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "engine/trials.hpp"
 #include "graph/graph.hpp"
 #include "support/stats.hpp"
@@ -256,8 +256,8 @@ struct CoverTimeParams {
   FaultStrategy fault_strategy = FaultStrategy::kAllToOne;
   std::uint64_t max_rounds = 0;     // 0 = 64 n log2(n)^2
   /// kSharded drives the visit-tracking token core (any queue policy,
-  /// clique, no faults); rejected when graph/faults need the
-  /// sequential TokenProcess.
+  /// clique, no faults); rejected with a graph or faults, which run on
+  /// the sequential xoshiro token kernel only.
   Backend backend = Backend::kSeq;
 };
 

@@ -1,5 +1,6 @@
 // The token-process core over the same (execution x RNG stream) policy
-// set as BallProcessCore (DESIGN.md Sect. 5).
+// set as BallProcessCore (DESIGN.md Sect. 5): the repository's one
+// identity-tracking process (paper, Sect. 4).
 //
 // Token state (per-bin queues, per-token positions) is shaped unlike a
 // load vector, so the identity-tracking process gets its own core
@@ -25,18 +26,20 @@
 // LIFO the newest, random the k-th oldest where k is drawn uniformly --
 // under the counter stream from the dedicated pop-select slot plane
 // (one draw per (round, releasing bin), schedule-free), under the
-// sequential stream from the process rng interleaved with the
-// destination draws exactly as in TokenProcess.  The random removal is
-// order-preserving (remove the k-th in arrival order), unlike the
-// legacy BallQueue's swap-remove; FIFO and LIFO sequential-stream
-// trajectories are draw-for-draw identical to TokenProcess on the
-// complete graph (pinned by tests/par/token_flat_test.cpp).
+// sequential stream from the process rng, interleaved per releasing
+// bin with the destination draw (pop draw first).  The random removal
+// is order-preserving (remove the k-th in arrival order).
 //
-// Scope: the complete graph, per-token progress counters and OPTIONAL
-// per-token visited bitsets (cover-time experiments; m*n bits -- fine
-// at experiment sizes, petabyte-scale at mega n, so visits default
-// off).  General graphs and delay histograms remain on the sequential
-// TokenProcess (core/token_process.hpp).
+// Scope: every instantiation runs the complete graph with per-token
+// progress counters and OPTIONAL per-token visited bitsets (cover-time
+// experiments; m*n bits -- fine at experiment sizes, petabyte-scale at
+// mega n, so visits default off).  The sequential xoshiro
+// instantiation (SequentialTokenProcess) also takes a general graph
+// (TokenOptions::graph: the destination is a uniform CSR neighbor of
+// the releasing bin, drawn after the pop draw) and a per-release
+// waiting-time histogram (TokenOptions::track_delays).  Counter-stream
+// and sharded instantiations reject both options by name: a neighbor
+// draw there would need its own schedule-free slot plane.
 #pragma once
 
 #include <algorithm>
@@ -52,9 +55,11 @@
 #include "core/kernel/pipeline.hpp"
 #include "core/kernel/stream.hpp"
 #include "core/kernel/token_store.hpp"
-#include "core/token_process.hpp"  // QueuePolicy, identity_placement
+#include "core/queue_policy.hpp"
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/stats.hpp"
 #include "support/types.hpp"
 
 namespace rbb::kernel {
@@ -66,6 +71,12 @@ struct TokenOptions {
   bool track_visits = false;
   /// Which token a non-empty bin releases each round.
   QueuePolicy policy = QueuePolicy::kFifo;
+  /// Graph the tokens walk on; nullptr = complete graph.  Must have
+  /// `bins` nodes and no isolated node.  Sequential xoshiro stream only.
+  const Graph* graph = nullptr;
+  /// Per-release waiting-time histogram (delay_histogram()).
+  /// Sequential xoshiro stream only.
+  bool track_delays = false;
 };
 
 template <typename Exec, typename StreamP = CounterStream>
@@ -82,7 +93,7 @@ class TokenProcessCore {
       std::numeric_limits<std::uint64_t>::max();
 
   /// `start_bin[i]` is the initial bin of token i; co-located tokens
-  /// enqueue in token-id order (as in TokenProcess).
+  /// enqueue in token-id order.
   TokenProcessCore(std::uint32_t bins, std::vector<bin_index_t> start_bin,
                    Stream stream, ExecOptions exec_options = {},
                    TokenOptions options = {})
@@ -106,6 +117,28 @@ class TokenProcessCore {
             "TokenProcessCore: start bin out of range");
       }
     }
+    if constexpr (Stream::kScheduleFree) {
+      if (options_.graph != nullptr) {
+        throw std::invalid_argument(
+            "TokenProcessCore: TokenOptions::graph needs the sequential "
+            "xoshiro stream");
+      }
+      if (options_.track_delays) {
+        throw std::invalid_argument(
+            "TokenProcessCore: TokenOptions::track_delays needs the "
+            "sequential xoshiro stream");
+      }
+    }
+    if (options_.graph != nullptr) {
+      if (options_.graph->node_count() != bins_) {
+        throw std::invalid_argument("TokenProcessCore: graph size != bins");
+      }
+      if (options_.graph->min_degree() == 0) {
+        throw std::invalid_argument(
+            "TokenProcessCore: graph has an isolated node");
+      }
+    }
+    if (options_.track_delays) arrival_round_.resize(start_bin.size());
     if (options_.track_visits) {
       words_per_token_ = (bins_ + 63) / 64;
       visited_.assign(static_cast<std::size_t>(words_per_token_) *
@@ -174,9 +207,8 @@ class TokenProcessCore {
   }
   /// Maximum load over all bins.  Sharded: O(1), maintained by the
   /// commit rescan.  Sequential: computed lazily on first query after a
-  /// round (as in TokenProcess), so an unobserved round pays no O(n)
-  /// stats pass -- this keeps the seq-counter perf rows an honest
-  /// RNG-swap measurement.
+  /// round, so an unobserved round pays no O(n) stats pass -- this
+  /// keeps the seq-counter perf rows an honest RNG-swap measurement.
   [[nodiscard]] load_t max_load() const {
     refresh_stats();
     return max_load_;
@@ -244,6 +276,19 @@ class TokenProcessCore {
     return worst;
   }
 
+  /// Waiting-time histogram: each released token contributes the number
+  /// of complete rounds it spent enqueued before the releasing round
+  /// (0 = released on its first opportunity).  Under FIFO the paper's
+  /// stability theorem bounds every delay by O(log n) w.h.p. (Sect. 1.1:
+  /// "every ball can be delayed for at most O(log n) rounds").
+  /// Requires track_delays.
+  [[nodiscard]] const Histogram& delay_histogram() const {
+    if (!options_.track_delays) {
+      throw std::logic_error("delay_histogram: delay tracking disabled");
+    }
+    return delays_;
+  }
+
   [[nodiscard]] const ShardPlan& plan() const noexcept
     requires kShardedExec
   {
@@ -260,6 +305,7 @@ class TokenProcessCore {
         visited_.capacity() * sizeof(std::uint64_t) +
         visited_count_.capacity() * sizeof(std::uint32_t) +
         cover_round_.capacity() * sizeof(std::uint64_t) +
+        arrival_round_.capacity() * sizeof(std::uint64_t) +
         seq_slots_.capacity() * sizeof(bin_index_t) +
         seq_tokens_.capacity() * sizeof(std::uint32_t) +
         seq_dests_.capacity() * sizeof(bin_index_t);
@@ -275,10 +321,10 @@ class TokenProcessCore {
     return bytes;
   }
 
-  /// Adversarial reassignment (Sect. 4.1 semantics, as in
-  /// TokenProcess::reassign): every token i moves to new_bin[i]; queues
-  /// are rebuilt in token-id order; progress persists; the reassigned
-  /// position counts as a visit.
+  /// Adversarial reassignment (Sect. 4.1): every token i moves to
+  /// new_bin[i]; queues are rebuilt in token-id order; progress persists;
+  /// the reassigned position counts as a visit and restarts the token's
+  /// delay clock.
   void reassign(const std::vector<bin_index_t>& new_bin) {
     if (new_bin.size() != progress_.size()) {
       throw std::invalid_argument("reassign: token count mismatch");
@@ -478,11 +524,12 @@ class TokenProcessCore {
                           seq_dests_.data());
     } else {
       // Sequential xoshiro draws: the random-policy pop draw and the
-      // destination draw interleave per releasing bin, draw-for-draw as
-      // in TokenProcess on the complete graph; arrivals apply after the
-      // walk (later bins see pre-move queues, the synchronous-round
-      // convention both realize).
+      // destination draw (uniform bin, or uniform neighbor on a graph)
+      // interleave per releasing bin; arrivals apply after the walk
+      // (later bins see pre-move queues, the synchronous-round
+      // convention).
       Rng& rng = stream_.rng();
+      const Graph* graph = options_.graph;
       for (bin_index_t u = 0; u < bins_; ++u) {
         if (u + kPrefetchAhead < bins_) prefetch_release(u + kPrefetchAhead);
         if (store_.empty(u)) continue;
@@ -492,8 +539,10 @@ class TokenProcessCore {
                                        rng.below(store_.count(u))))
                 : store_.pop_front(u);
         ++progress_[token];
+        if (options_.track_delays) delays_.add(r - arrival_round_[token]);
         seq_tokens_.push_back(token);
-        seq_dests_.push_back(rng.index(bins_));
+        seq_dests_.push_back(graph != nullptr ? graph->sample_neighbor(u, rng)
+                                              : rng.index(bins_));
       }
     }
     const std::size_t moves = seq_dests_.size();
@@ -505,6 +554,9 @@ class TokenProcessCore {
       const bin_index_t dest = seq_dests_[i];
       const std::uint32_t token = seq_tokens_[i];
       store_.push(dest, token);
+      if constexpr (!Stream::kScheduleFree) {
+        if (options_.track_delays) arrival_round_[token] = r + 1;
+      }
       if (mark_visited(token, dest, r + 1)) {
         ++covered_tokens_;
       }
@@ -655,6 +707,7 @@ class TokenProcessCore {
 
   void rebuild_queues(const std::vector<bin_index_t>& placement) {
     store_.rebuild(placement);
+    std::fill(arrival_round_.begin(), arrival_round_.end(), round_);
     for (std::uint32_t token = 0; token < token_count(); ++token) {
       if (mark_visited(token, placement[token], round_)) {
         ++covered_tokens_;
@@ -710,6 +763,11 @@ class TokenProcessCore {
   std::vector<std::uint64_t> cover_round_;
   std::uint32_t covered_tokens_ = 0;
 
+  // Delay tracking (empty when !options_.track_delays): the round each
+  // token last entered a queue, and the released tokens' waits.
+  std::vector<std::uint64_t> arrival_round_;
+  Histogram delays_;
+
   // Sequential-path scratch: releasing bins (counter path), their
   // tokens, and the destinations, index-aligned.
   std::vector<bin_index_t> seq_slots_;
@@ -726,11 +784,10 @@ class TokenProcessCore {
 };
 
 /// Sequential xoshiro instantiation of the flat token core: the
-/// production single-thread token kernel.  FIFO and LIFO trajectories
-/// are draw-for-draw identical to the classic TokenProcess on the
-/// complete graph (pinned by tests/par/token_flat_test.cpp); random
-/// differs only in the post-removal queue order (order-preserving
-/// versus legacy swap-remove).
+/// single-thread token process of the Sect. 4 experiments, and the only
+/// instantiation that takes TokenOptions::graph and track_delays.
+/// Trajectories are pinned against a naive reference and golden CRCs
+/// (tests/par/token_flat_test.cpp).
 class SequentialTokenProcess
     : public TokenProcessCore<SequentialExecution, SequentialStream> {
  public:

@@ -19,9 +19,8 @@
 // arrival order, oldest at head); LIFO pushes at the head (list order =
 // newest first).  All three policies therefore *pop the head* except
 // random, which removes the k-th element in arrival order -- an
-// order-preserving removal, unlike the swap-remove of the legacy
-// BallQueue (see DESIGN.md: the first pop removes the same token, but
-// the legacy swap perturbs the order seen by later pops).
+// order-preserving removal, so the tokens behind it keep their arrival
+// order.
 //
 // Determinism: push order is the only thing that defines a queue's
 // content, and the store performs pushes exactly in the order the core
@@ -36,7 +35,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/token_process.hpp"  // QueuePolicy
+#include "core/queue_policy.hpp"
 #include "support/serial.hpp"
 #include "support/types.hpp"
 
@@ -55,7 +54,7 @@ class FlatTokenStore {
 
   /// Drops every queue and re-pushes token 0, 1, ... into
   /// placement[token]: co-located tokens enqueue in token-id order,
-  /// the construction/reassign convention of TokenProcess.
+  /// the construction/reassign convention of the token core.
   void rebuild(const std::vector<bin_index_t>& placement) {
     std::fill(bins_.begin(), bins_.end(), BinList{kNil, kNil, 0});
     for (std::uint32_t token = 0;

@@ -6,7 +6,7 @@
 //   support/  rng, counter_rng, types, samplers, stats, bounds,
 //             dense_set, thread_pool, table, cli, scale
 //   graph/    graph
-//   core/     config, process, token_process, faults, and the policy
+//   core/     config, process, queue_policy, faults, and the policy
 //             core under core/kernel/ (shard, exec, stream, variants,
 //             ball_kernel, token_kernel)
 //   par/      sharded_process, sharded_token_process, sharded_variants
@@ -34,8 +34,9 @@
 #include "baselines/repeated_dchoices.hpp"
 #include "core/config.hpp"
 #include "core/faults.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "coupling/coupling.hpp"
 #include "graph/graph.hpp"
 #include "markov/dense_matrix.hpp"

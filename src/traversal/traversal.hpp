@@ -1,4 +1,5 @@
-// Multi-token traversal (paper, Sect. 4) on top of the TokenProcess.
+// Multi-token traversal (paper, Sect. 4) on top of the sequential token
+// kernel (kernel::SequentialTokenProcess, core/kernel/token_kernel.hpp).
 //
 // n tokens -- one per node initially, or adversarially placed -- perform
 // the random-walk protocol with the one-token-per-node-per-round
@@ -12,7 +13,7 @@
 #include <optional>
 
 #include "core/faults.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
 

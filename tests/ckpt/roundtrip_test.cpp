@@ -12,7 +12,7 @@
 
 #include "core/config.hpp"
 #include "core/mixed_config.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "par/sharded_mixed.hpp"
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"

@@ -11,8 +11,8 @@
 
 #include "baselines/independent_walks.hpp"
 #include "baselines/repeated_dchoices.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "selfstab/israeli_jalfon.hpp"
@@ -63,9 +63,10 @@ TEST(EngineParity, TokenProcessCompleteGraph) {
   Rng rng(103);
   std::vector<std::uint32_t> placement(kBins);
   for (std::uint32_t i = 0; i < kBins; ++i) placement[i] = rng.index(kBins);
-  TokenProcess::Options options;
-  options.policy = QueuePolicy::kFifo;
-  expect_parity(TokenProcess(kBins, placement, options, rng.split()));
+  expect_parity(kernel::SequentialTokenProcess(
+      kBins, placement, rng.split(),
+      kernel::TokenOptions{.track_visits = true,
+                           .policy = QueuePolicy::kFifo}));
 }
 
 TEST(EngineParity, TokenProcessRing) {
@@ -73,10 +74,11 @@ TEST(EngineParity, TokenProcessRing) {
   Rng rng(104);
   std::vector<std::uint32_t> placement(kBins);
   for (std::uint32_t i = 0; i < kBins; ++i) placement[i] = i;
-  TokenProcess::Options options;
-  options.policy = QueuePolicy::kRandom;  // pops consume process RNG too
-  options.graph = &ring;
-  expect_parity(TokenProcess(kBins, placement, options, rng.split()));
+  expect_parity(kernel::SequentialTokenProcess(
+      kBins, placement, rng.split(),
+      kernel::TokenOptions{.track_visits = true,
+                           .policy = QueuePolicy::kRandom,  // pops draw too
+                           .graph = &ring}));
 }
 
 TEST(EngineParity, TetrisCliqueOnly) {

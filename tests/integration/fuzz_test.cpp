@@ -13,7 +13,7 @@
 #include "core/mixed_config.hpp"
 #include "core/mixed_process.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "par/sharded_mixed.hpp"
@@ -67,7 +67,7 @@ TEST_P(FuzzSweep, RepeatedBallsProcessSurvivesRandomOps) {
 TEST_P(FuzzSweep, TokenProcessSurvivesRandomOps) {
   const auto [n, seed] = GetParam();
   Rng op_rng(static_cast<std::uint64_t>(seed) * 104729 + n);
-  TokenProcess::Options options;
+  kernel::TokenOptions options;
   options.policy = static_cast<QueuePolicy>(op_rng.below(3));
   options.track_visits = (n <= 256);
   options.track_delays = true;
@@ -75,7 +75,8 @@ TEST_P(FuzzSweep, TokenProcessSurvivesRandomOps) {
   for (std::uint32_t i = 0; i < n; ++i) {
     placement[i] = op_rng.index(n);
   }
-  TokenProcess proc(n, std::move(placement), options, op_rng.split());
+  kernel::SequentialTokenProcess proc(n, std::move(placement),
+                                      op_rng.split(), options);
   for (int op = 0; op < 200; ++op) {
     switch (op_rng.below(6)) {
       case 0: {
@@ -334,10 +335,11 @@ TEST_P(FuzzSweep, EngineTokenProcessSurvivesFaultInjection) {
   Rng op_rng(static_cast<std::uint64_t>(seed) * 40503 + n);
   std::vector<std::uint32_t> placement(n);
   for (std::uint32_t i = 0; i < n; ++i) placement[i] = op_rng.index(n);
-  TokenProcess::Options options;
+  kernel::TokenOptions options;
   options.policy = static_cast<QueuePolicy>(op_rng.below(3));
-  Engine engine(TokenProcess(n, std::move(placement), options,
-                             op_rng.split()));
+  options.track_visits = true;
+  Engine engine(kernel::SequentialTokenProcess(n, std::move(placement),
+                                               op_rng.split(), options));
   const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
   auto plan = make_token_fault_plan(1 + op_rng.below(5), strategy,
                                     op_rng.split());

@@ -13,23 +13,27 @@
 #include "tetris/tetris.hpp"
 #include "baselines/independent_walks.hpp"
 #include "core/config.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "par/sharded_token_process.hpp"
 #include "support/bounds.hpp"
 
 namespace rbb {
 namespace {
 
-TEST(Statistical, RandomPolicyPopIsUniform) {
-  // BallQueue kRandom must pick uniformly among the queued tokens: pop
-  // one of 5 tokens many times and chi-square the frequencies.
-  Rng rng(1);
+/// Chi-square of the random queue policy's pop: 5 tokens in bin 0, one
+/// round, and the token that left (the one with progress 1) is tallied.
+/// `make(i)` builds the i-th independent process.
+template <typename Make>
+void expect_random_pop_uniform(const Make& make) {
   std::array<int, 5> counts{};
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
-    BallQueue q;
-    for (std::uint32_t t = 0; t < 5; ++t) q.push(t);
-    ++counts[q.pop(QueuePolicy::kRandom, rng)];
+    auto proc = make(i);
+    proc.step();
+    for (std::uint32_t t = 0; t < 5; ++t) {
+      if (proc.progress(t) == 1) ++counts[t];
+    }
   }
   const double expected = kDraws / 5.0;
   double chi2 = 0.0;
@@ -37,6 +41,21 @@ TEST(Statistical, RandomPolicyPopIsUniform) {
     chi2 += (c - expected) * (c - expected) / expected;
   }
   EXPECT_LT(chi2, 25.0);  // df = 4; p ~ 5e-5 at 25
+}
+
+TEST(Statistical, RandomPolicyPopIsUniform) {
+  // The random policy must release a uniform token of the bin, under
+  // both RNG streams of the token core.
+  const std::vector<std::uint32_t> pile(5, 0u);
+  const kernel::TokenOptions random{.policy = QueuePolicy::kRandom};
+  Rng rng(1);
+  expect_random_pop_uniform([&](int) {
+    return kernel::SequentialTokenProcess(2, pile, rng.split(), random);
+  });
+  expect_random_pop_uniform([&](int i) {
+    return par::SequentialCounterTokenProcess(
+        2, pile, static_cast<std::uint64_t>(i) + 1, random);
+  });
 }
 
 TEST(Statistical, SingleRoundArrivalsAreBinomial) {

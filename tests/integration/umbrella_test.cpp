@@ -27,10 +27,11 @@ TEST(Umbrella, EverySubsystemReachable) {
   process.run(16);
   EXPECT_EQ(total_balls(process.loads()), 8u);
 
-  TokenProcess::Options options;                     // core/token_process
-  options.track_visits = false;
-  TokenProcess tokens(8, {0, 1, 2, 3}, options, rng.split());
+  kernel::SequentialTokenProcess tokens(             // core/kernel
+      8, {0, 1, 2, 3}, rng.split(),
+      kernel::TokenOptions{.graph = &g, .track_delays = true});
   tokens.run(4);
+  EXPECT_GE(tokens.delay_histogram().total(), 4u);  // >= 1 release a round
 
   const LoadConfig faulted =                         // core/faults
       apply_fault(FaultStrategy::kRandom, 8, 8, q, rng);

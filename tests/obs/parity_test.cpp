@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/sharded_process.hpp"

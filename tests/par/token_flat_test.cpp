@@ -4,8 +4,10 @@
 // backends {seq xoshiro, seq-counter, sharded 1/2/8 workers x shard
 // sizes {64, 256, 1024}} -- including cover-time visit tracking,
 // mid-run reassign() rebuilds, and the check_invariants / snapshot
-// inspection hooks.  This is the contract that replacing the per-bin
-// BallQueues with flat storage changed no trajectory bit.
+// inspection hooks.  The seq-xoshiro kernel is also pinned on general
+// graphs (cycle, torus, random 3-regular) with delay histograms, both
+// against the reference and against golden CRCs recorded from the
+// per-bin-queue token process it replaced.
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -13,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "core/kernel/token_kernel.hpp"
-#include "core/token_process.hpp"
+#include "core/queue_policy.hpp"
 #include "engine/engine.hpp"
+#include "graph/graph.hpp"
 #include "par/sharded_token_process.hpp"
+#include "support/serial.hpp"
 #include "token_reference.hpp"
 
 namespace rbb::par {
@@ -41,11 +45,19 @@ std::vector<std::uint32_t> skewed_placement(std::uint32_t n) {
 }
 
 /// Asserts full observable state equality: token positions, progress,
-/// and every queue's content in arrival order.
+/// every queue's content in arrival order, and (when tracked) the delay
+/// histogram.
 template <typename Core, typename Ref>
 void expect_same_state(const Core& core, const Ref& ref,
-                       const char* what) {
+                       const char* what, bool delays = false) {
   ASSERT_EQ(core.round(), ref.round()) << what;
+  if (delays) {
+    ASSERT_EQ(core.delay_histogram().counts(),
+              ref.delay_histogram().counts())
+        << what << " round " << core.round();
+    ASSERT_EQ(core.delay_histogram().total(), ref.delay_histogram().total())
+        << what;
+  }
   for (std::uint32_t i = 0; i < core.token_count(); ++i) {
     ASSERT_EQ(core.token_bin(i), ref.token_bin(i))
         << what << " token " << i << " round " << core.round();
@@ -157,34 +169,87 @@ TEST(FlatTokenParity, CoverTimeMatchesReferenceEveryPolicy) {
   }
 }
 
-TEST(FlatTokenParity, FifoAndLifoMatchLegacyTokenProcessDrawForDraw) {
-  // The flat seq-xoshiro kernel must reproduce the classic TokenProcess
-  // bit for bit under FIFO and LIFO on the complete graph (no pop
-  // draws, so storage is the only thing that changed).  Random is
-  // exempt by design: the flat store removes the k-th in arrival order
-  // where the legacy BallQueue swap-removes (same first token, different
-  // residual order) -- pinned instead by the reference suites above.
-  for (const QueuePolicy policy : {QueuePolicy::kFifo, QueuePolicy::kLifo}) {
-    TokenProcess::Options legacy_options;
-    legacy_options.policy = policy;
-    legacy_options.track_visits = false;
-    TokenProcess legacy(kN, skewed_placement(kN), legacy_options,
-                        Rng(kSeed));
-    SequentialTokenProcess flat(
-        kN, skewed_placement(kN), Rng(kSeed),
-        TokenOptions{.track_visits = false, .policy = policy});
-    for (std::uint64_t r = 0; r < kRounds; ++r) {
-      legacy.step();
-      flat.step();
-      for (std::uint32_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(flat.token_bin(i), legacy.token_bin(i))
-            << to_string(policy) << " token " << i << " round " << r;
-        ASSERT_EQ(flat.progress(i), legacy.progress(i))
-            << to_string(policy) << " token " << i << " round " << r;
+/// CRC32 of token_bin || progress || delay-histogram buckets.
+std::uint32_t token_state_crc(const SequentialTokenProcess& p) {
+  serial::ByteWriter w;
+  for (std::uint32_t i = 0; i < p.token_count(); ++i) w.u32(p.token_bin(i));
+  for (std::uint32_t i = 0; i < p.token_count(); ++i) w.u64(p.progress(i));
+  for (const std::uint64_t c : p.delay_histogram().counts()) w.u64(c);
+  return serial::crc32(w.str());
+}
+
+TEST(FlatTokenParity, SeqXoshiroReproducesLegacyGoldenCrcs) {
+  // Golden values recorded from the per-bin-queue TokenProcess (deleted
+  // since) with the same setup: 64 rounds, skewed start, delays on.
+  // FIFO and LIFO make no pop draws, so the destination draws -- uniform
+  // bin, or uniform CSR neighbor on a graph -- are the whole trajectory.
+  // Random is exempt: the legacy queue swap-removed where the flat store
+  // removes the k-th in arrival order.
+  const Graph cycle = make_cycle(kN);
+  Rng graph_rng(kSeed, 0x6a);
+  const Graph regular = make_random_regular(kN, 3, graph_rng);
+  struct Golden {
+    const Graph* graph;
+    QueuePolicy policy;
+    std::uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {nullptr, QueuePolicy::kFifo, 0x6fa533f0u},
+      {nullptr, QueuePolicy::kLifo, 0xec578cbdu},
+      {&cycle, QueuePolicy::kFifo, 0x06e00946u},
+      {&cycle, QueuePolicy::kLifo, 0xf72d30d5u},
+      {&regular, QueuePolicy::kFifo, 0xb629a43bu},
+      {&regular, QueuePolicy::kLifo, 0x84458e87u},
+  };
+  for (const Golden& g : goldens) {
+    SequentialTokenProcess p(kN, skewed_placement(kN), Rng(kSeed),
+                             TokenOptions{.policy = g.policy,
+                                          .graph = g.graph,
+                                          .track_delays = true});
+    p.run(64);
+    EXPECT_EQ(token_state_crc(p), g.crc)
+        << to_string(g.policy) << " on "
+        << (g.graph == nullptr ? "the complete graph"
+                               : g.graph == &cycle ? "the cycle"
+                                                   : "the 3-regular graph");
+    ASSERT_NO_THROW(p.check_invariants());
+  }
+}
+
+TEST(FlatTokenParity, SeqXoshiroMatchesReferenceOnGraphsWithDelays) {
+  Rng graph_rng(kSeed, 0x3e);
+  const Graph graphs[] = {make_cycle(kN), make_torus(16, kN / 16),
+                          make_random_regular(kN, 3, graph_rng)};
+  const std::vector<std::uint32_t> pile(kN, 5u);  // adversarial pile-up
+  for (const Graph& graph : graphs) {
+    for (const QueuePolicy policy : kPolicies) {
+      for (const bool delays : {false, true}) {
+        const TokenOptions options{.track_visits = true,
+                                   .policy = policy,
+                                   .graph = &graph,
+                                   .track_delays = delays};
+        SequentialTokenProcess core(kN, skewed_placement(kN), Rng(kSeed),
+                                    options);
+        ReferenceTokenProcess<kernel::SequentialStream> ref(
+            kN, skewed_placement(kN), kernel::SequentialStream(Rng(kSeed)),
+            options);
+        for (std::uint64_t r = 0; r < kRounds; ++r) {
+          if (r == kRounds / 2) {
+            core.reassign(pile);
+            ref.reassign(pile);
+            expect_same_state(core, ref, to_string(policy), delays);
+          }
+          core.step();
+          ref.step();
+          expect_same_state(core, ref, to_string(policy), delays);
+        }
+        for (std::uint32_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(core.visited_count(i), ref.visited_count(i))
+              << to_string(policy) << " token " << i;
+        }
+        ASSERT_NO_THROW(core.check_invariants());
       }
     }
-    EXPECT_EQ(flat.max_load(), legacy.max_load());
-    EXPECT_EQ(flat.empty_bins(), legacy.empty_bins());
   }
 }
 
@@ -225,6 +290,50 @@ TEST(FlatTokenParity, RejectsBadConstructionAndReassign) {
   SequentialTokenProcess proc(8, {1u, 1u, 2u}, Rng(1), options);
   EXPECT_THROW(proc.reassign({0u}), std::invalid_argument);
   EXPECT_THROW(proc.reassign({0u, 1u, 8u}), std::invalid_argument);
+
+  // Graph checks: the graph must have one node per bin and no isolated
+  // node.
+  const Graph cycle = make_cycle(8);
+  const Graph small = make_cycle(6);
+  const Graph isolated(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
+  EXPECT_THROW(SequentialTokenProcess(8, {0u}, Rng(1),
+                                      TokenOptions{.graph = &small}),
+               std::invalid_argument);
+  EXPECT_THROW(SequentialTokenProcess(8, {0u}, Rng(1),
+                                      TokenOptions{.graph = &isolated}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(SequentialTokenProcess(
+      8, {0u}, Rng(1), TokenOptions{.graph = &cycle, .track_delays = true}));
+
+  // The counter-stream and sharded instantiations reject graph and
+  // track_delays, naming the option.
+  const auto expect_rejects = [](auto&& make, const std::string& option) {
+    try {
+      make();
+      ADD_FAILURE() << "accepted " << option;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+          << e.what();
+    }
+  };
+  const TokenOptions with_graph{.graph = &cycle};
+  const TokenOptions with_delays{.track_delays = true};
+  expect_rejects(
+      [&] { SequentialCounterTokenProcess(8, {0u}, 1, with_graph); },
+      "TokenOptions::graph");
+  expect_rejects(
+      [&] { SequentialCounterTokenProcess(8, {0u}, 1, with_delays); },
+      "TokenOptions::track_delays");
+  expect_rejects(
+      [&] {
+        ShardedTokenProcess(8, {0u}, 1, ShardedOptions{2, 4}, with_graph);
+      },
+      "TokenOptions::graph");
+  expect_rejects(
+      [&] {
+        ShardedTokenProcess(8, {0u}, 1, ShardedOptions{2, 4}, with_delays);
+      },
+      "TokenOptions::track_delays");
 }
 
 static_assert(SimProcess<kernel::SequentialTokenProcess>,

@@ -12,14 +12,17 @@
 //     draws, bit-identical to the production kernel's gathered draw
 //     planes by the plane contract.
 //   * SequentialStream: the pop draw (random policy) and the
-//     destination draw interleave per releasing bin, draw-for-draw as
-//     in the classic TokenProcess on the complete graph.
+//     destination draw interleave per releasing bin.  The destination
+//     is rng.index(n) on the complete graph, and on a graph
+//     (TokenOptions::graph) the CSR entry neighbors(u)[rng.index(deg)].
 //
 // Pop semantics (the canonical, order-preserving convention of the
 // flat core): FIFO removes the front, LIFO the back, random the k-th
-// in arrival order via erase(begin() + k) -- NOT the legacy
-// BallQueue swap-remove, which perturbs the order behind the removed
-// element.
+// in arrival order via erase(begin() + k).
+//
+// Delays (TokenOptions::track_delays): every token carries the round it
+// last entered a queue (construction, reassign, or the end of the round
+// that moved it); a release adds `round - arrival` to the histogram.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,9 @@
 
 #include "core/kernel/stream.hpp"
 #include "core/kernel/token_kernel.hpp"  // TokenOptions
-#include "core/token_process.hpp"        // QueuePolicy
+#include "core/queue_policy.hpp"
+#include "graph/graph.hpp"
+#include "support/stats.hpp"
 
 namespace rbb::par::testing {
 
@@ -58,6 +63,7 @@ class ReferenceTokenProcess {
       visited_count_.assign(token_bin_.size(), 0);
       cover_round_.assign(token_bin_.size(), kNotCovered);
     }
+    if (options_.track_delays) arrival_round_.resize(token_bin_.size());
     rebuild();
   }
 
@@ -68,10 +74,16 @@ class ReferenceTokenProcess {
       if (queues_[u].empty()) continue;
       const std::uint32_t token = release(u, r);
       ++progress_[token];
+      if (options_.track_delays) delays_.add(r - arrival_round_[token]);
       if constexpr (StreamP::kScheduleFree) {
         moves_.emplace_back(token,
                             stream_.index(r, kernel::relaunch_slot(u),
                                           bins_));
+      } else if (options_.graph != nullptr) {
+        const auto nbrs = options_.graph->neighbors(u);
+        moves_.emplace_back(
+            token, nbrs[stream_.rng().index(
+                       static_cast<std::uint32_t>(nbrs.size()))]);
       } else {
         moves_.emplace_back(token, stream_.rng().index(bins_));
       }
@@ -80,6 +92,7 @@ class ReferenceTokenProcess {
     for (const auto& [token, dest] : moves_) {
       queues_[dest].push_back(token);
       token_bin_[token] = dest;
+      if (options_.track_delays) arrival_round_[token] = round_;
       mark_visited(token, dest);
     }
   }
@@ -125,6 +138,7 @@ class ReferenceTokenProcess {
   [[nodiscard]] std::uint64_t cover_round(std::uint32_t token) const {
     return cover_round_[token];
   }
+  [[nodiscard]] const Histogram& delay_histogram() const { return delays_; }
 
  private:
   std::uint32_t release(std::uint32_t u, std::uint64_t r) {
@@ -158,6 +172,7 @@ class ReferenceTokenProcess {
         throw std::invalid_argument("reference: bin out of range");
       }
       queues_[token_bin_[token]].push_back(token);
+      if (options_.track_delays) arrival_round_[token] = round_;
       mark_visited(token, token_bin_[token]);
     }
   }
@@ -190,6 +205,9 @@ class ReferenceTokenProcess {
   std::vector<std::uint32_t> visited_count_;
   std::vector<std::uint64_t> cover_round_;
   std::uint32_t covered_tokens_ = 0;
+
+  std::vector<std::uint64_t> arrival_round_;
+  Histogram delays_;
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> moves_;
 };
