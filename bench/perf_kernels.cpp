@@ -8,6 +8,8 @@
 //         batched portable path vs the AVX2 path, and per-call vs
 //         batched Lemire bounded reduction (the plane win measured in
 //         isolation, not only end-to-end through sharded_scaling),
+//   D7 -- the checkpoint CRC32 (slicing-by-16) in bytes/second, the
+//         per-layer number behind the checkpoint encode/decode cost,
 // plus the absolute rounds/second of every process in the repository.
 #include <benchmark/benchmark.h>
 
@@ -23,6 +25,7 @@
 #include "support/counter_rng.hpp"
 #include "support/draw_plane.hpp"
 #include "support/samplers.hpp"
+#include "support/serial.hpp"
 #include "tetris/tetris.hpp"
 
 namespace {
@@ -294,6 +297,23 @@ void BM_LemireBoundedBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(kPlaneDraws));
 }
 BENCHMARK(BM_LemireBoundedBatch);
+
+// D7: checkpoint CRC32 throughput, at a header-sized 4 KiB buffer and
+// a payload-sized 64 MiB one (memory-bound, beyond the LLC of most
+// hosts).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<unsigned char> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(11);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = serial::crc32(buf.data(), buf.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 20);
 
 void BM_BinomialTetrisLaw(benchmark::State& state) {
   // The Z-chain's hot sampler: Bin(3n/4, 1/n), inversion path.

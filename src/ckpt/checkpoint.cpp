@@ -59,12 +59,24 @@ Error::Error(ErrorKind kind, const std::string& detail)
                          detail),
       kind_(kind) {}
 
+namespace {
+
+// Fixed-size prefix before the variable-length meta block.
+constexpr std::size_t kFixedHeaderBytes =
+    sizeof kMagic + 4 /*version*/ + 4 /*family*/ + 4 /*stream*/ +
+    4 /*backend*/ + 8 /*bins*/ + 8 /*entities*/ + 8 /*seed*/ + 8 /*round*/ +
+    4 /*digest*/ + 4 /*meta_len*/;
+
+}  // namespace
+
 std::uint32_t digest(std::string_view canonical_options) noexcept {
   return serial::crc32(canonical_options);
 }
 
-std::string encode(const Checkpoint& ckpt) {
+Envelope envelope(const Checkpoint& ckpt) {
   serial::ByteWriter w;
+  w.reserve(kFixedHeaderBytes + ckpt.meta.size() + 4 /*header crc*/ +
+            8 /*payload length*/);
   w.bytes(kMagic, sizeof kMagic);
   w.u32(ckpt.header.version);
   w.u32(static_cast<std::uint32_t>(ckpt.header.family));
@@ -79,20 +91,22 @@ std::string encode(const Checkpoint& ckpt) {
   w.bytes(ckpt.meta.data(), ckpt.meta.size());
   w.u32(serial::crc32(w.str()));
   w.u64(ckpt.payload.size());
-  w.bytes(ckpt.payload.data(), ckpt.payload.size());
-  w.u32(serial::crc32(ckpt.payload));
-  return w.take();
+  Envelope e;
+  e.prefix = w.take();
+  const std::uint32_t payload_crc = serial::crc32(ckpt.payload);
+  std::memcpy(e.trailer.data(), &payload_crc, sizeof payload_crc);
+  return e;
 }
 
-namespace {
-
-// Fixed-size prefix before the variable-length meta block.
-constexpr std::size_t kFixedHeaderBytes =
-    sizeof kMagic + 4 /*version*/ + 4 /*family*/ + 4 /*stream*/ +
-    4 /*backend*/ + 8 /*bins*/ + 8 /*entities*/ + 8 /*seed*/ + 8 /*round*/ +
-    4 /*digest*/ + 4 /*meta_len*/;
-
-}  // namespace
+std::string encode(const Checkpoint& ckpt) {
+  const Envelope e = envelope(ckpt);
+  std::string bytes;
+  bytes.reserve(e.prefix.size() + ckpt.payload.size() + e.trailer.size());
+  bytes += e.prefix;
+  bytes += ckpt.payload;
+  bytes.append(e.trailer.data(), e.trailer.size());
+  return bytes;
+}
 
 Checkpoint decode(std::string_view bytes) {
   if (bytes.size() < kFixedHeaderBytes) {

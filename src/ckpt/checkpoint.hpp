@@ -36,6 +36,7 @@
 // mode; verify_matches() adds the restore-time identity checks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -125,7 +126,23 @@ struct Checkpoint {
 /// across backend/threads/shard size).
 [[nodiscard]] std::uint32_t digest(std::string_view canonical_options) noexcept;
 
-/// Serializes to the rbb.ckpt.v1 byte layout.  Honors the header
+/// The rbb.ckpt.v1 file image minus the payload itself: the file is
+/// `prefix`, then the payload bytes, then `trailer`.  Built once per
+/// checkpoint so a writer can stream the three spans without ever
+/// copying the payload into a contiguous image.
+struct Envelope {
+  /// Header, meta, header CRC32 and payload length.
+  std::string prefix;
+  /// Payload CRC32 (little-endian u32).
+  std::array<char, 4> trailer{};
+};
+
+/// The envelope of `ckpt`: one CRC32 pass over the payload.  Honors the
+/// header fields verbatim, like encode().
+[[nodiscard]] Envelope envelope(const Checkpoint& ckpt);
+
+/// Serializes to the rbb.ckpt.v1 byte layout: envelope(ckpt).prefix +
+/// payload + trailer in one exactly reserved string.  Honors the header
 /// fields verbatim (including a wrong version/family) so tests can
 /// craft rejection cases with valid checksums.
 [[nodiscard]] std::string encode(const Checkpoint& ckpt);

@@ -4,14 +4,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -68,7 +68,8 @@ void maybe_crash(const char* phase, std::uint64_t round) noexcept {
   ::_exit(kCrashExitCode);
 }
 
-bool atomic_write_file(const std::string& path, std::string_view bytes,
+bool atomic_write_file(const std::string& path,
+                       std::span<const std::string_view> parts,
                        std::string* error, std::uint64_t crash_round) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
@@ -78,27 +79,34 @@ bool atomic_write_file(const std::string& path, std::string_view bytes,
     return false;
   }
 
+  std::size_t total = 0;
+  for (const std::string_view part : parts) total += part.size();
+  // Writes the file bytes [begin, end) -- offsets into the concatenation
+  // of `parts` -- straight from the parts.
+  const auto write_range = [&](std::size_t begin, std::size_t end) {
+    std::size_t base = 0;
+    for (const std::string_view part : parts) {
+      std::size_t lo = std::max(begin, base);
+      const std::size_t hi = std::min(end, base + part.size());
+      while (lo < hi) {
+        const ::ssize_t n = ::write(fd, part.data() + (lo - base), hi - lo);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          return false;
+        }
+        lo += static_cast<std::size_t>(n);
+      }
+      base += part.size();
+    }
+    return true;
+  };
   // Write in two halves with a kill point between them: a crash here
   // must leave only a truncated .tmp that discovery ignores.
-  const std::size_t half = bytes.size() / 2;
-  std::size_t written = 0;
-  bool write_failed = false;
-  const auto write_span = [&](std::size_t begin, std::size_t end_pos) {
-    while (begin < end_pos) {
-      const ::ssize_t n = ::write(fd, bytes.data() + begin, end_pos - begin);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        write_failed = true;
-        return;
-      }
-      begin += static_cast<std::size_t>(n);
-      written += static_cast<std::size_t>(n);
-    }
-  };
-  write_span(0, half);
+  const std::size_t half = total / 2;
+  bool wrote = write_range(0, half);
   maybe_crash(kCrashMidPayload, crash_round);
-  if (!write_failed) write_span(half, bytes.size());
-  if (write_failed || written != bytes.size()) {
+  wrote = wrote && write_range(half, total);
+  if (!wrote) {
     if (error != nullptr) *error = errno_message("cannot write", tmp);
     (void)::close(fd);
     (void)::unlink(tmp.c_str());
@@ -128,10 +136,20 @@ bool atomic_write_file(const std::string& path, std::string_view bytes,
   return true;
 }
 
+bool atomic_write_file(const std::string& path, std::string_view bytes,
+                       std::string* error, std::uint64_t crash_round) {
+  return atomic_write_file(path, std::span(&bytes, 1), error, crash_round);
+}
+
 bool write_checkpoint_file(const std::string& path, const Checkpoint& ckpt,
                            std::string* error) {
   const obs::ScopedPhase span(obs::Phase::kCkptWrite);
-  const std::string bytes = encode(ckpt);
+  const Envelope envelope = ckpt::envelope(ckpt);
+  const std::array<std::string_view, 3> parts = {
+      envelope.prefix, ckpt.payload,
+      std::string_view(envelope.trailer.data(), envelope.trailer.size())};
+  const std::size_t bytes =
+      envelope.prefix.size() + ckpt.payload.size() + envelope.trailer.size();
   constexpr int kMaxAttempts = 3;
   std::string last_error;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -141,9 +159,9 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& ckpt,
       // enough to be invisible next to a checkpoint-worthy run.
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << (2 * attempt)));
     }
-    if (atomic_write_file(path, bytes, &last_error, ckpt.header.round)) {
+    if (atomic_write_file(path, parts, &last_error, ckpt.header.round)) {
       obs::add(obs::Counter::kCheckpointWrites);
-      obs::add(obs::Counter::kCheckpointBytes, bytes.size());
+      obs::add(obs::Counter::kCheckpointBytes, bytes);
       return true;
     }
   }
@@ -153,16 +171,36 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& ckpt,
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw Error(ErrorKind::kIo, errno_message("cannot open", path));
   }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  if (file.bad()) {
-    throw Error(ErrorKind::kIo, errno_message("cannot read", path));
+  const auto fail = [&](const char* what) {
+    const std::string message = errno_message(what, path);
+    (void)::close(fd);
+    throw Error(ErrorKind::kIo, message);
+  };
+  // One allocation of the size fstat reports, filled by a read() loop.
+  struct ::stat st {};
+  if (::fstat(fd, &st) != 0) fail("cannot stat");
+  if (S_ISDIR(st.st_mode)) {
+    errno = EISDIR;
+    fail("cannot read");
   }
-  return std::move(contents).str();
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ::ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail("cannot read");
+    }
+    if (n == 0) break;  // the file shrank after fstat
+    got += static_cast<std::size_t>(n);
+  }
+  (void)::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 Checkpoint read_checkpoint(const std::string& path) {
@@ -215,6 +253,8 @@ std::optional<std::string> CheckpointPlan::write(const Checkpoint& ckpt) {
                  error.c_str());
     return std::nullopt;
   }
+  std::erase_if(written_,
+                [&](const auto& entry) { return entry.second == path; });
   written_.emplace_back(ckpt.header.round, path);
   while (written_.size() > keep_) {
     (void)::unlink(written_.front().second.c_str());

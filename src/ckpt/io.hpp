@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,18 +44,27 @@ inline constexpr const char* kCrashPostRename = "post-rename";
 /// every call so forked chaos-test children can arm it after fork().
 void maybe_crash(const char* phase, std::uint64_t round) noexcept;
 
-/// tmp+fsync+rename+dir-fsync write of an arbitrary byte blob (also
-/// the runner's --out path, satellite 1).  Returns false and fills
-/// *error on failure; the destination is never left torn.  `round`
-/// keys the kill points (pass 0 outside checkpoint context).
+/// tmp+fsync+rename+dir-fsync write of a file whose bytes are the
+/// concatenation of `parts`, streamed in order with no intermediate
+/// copy.  Returns false and fills *error on failure; the destination is
+/// never left torn.  The mid-payload kill point fires after the first
+/// half (rounded down) of the total bytes.  `crash_round` keys the kill
+/// points (pass 0 outside checkpoint context).
+[[nodiscard]] bool atomic_write_file(const std::string& path,
+                                     std::span<const std::string_view> parts,
+                                     std::string* error,
+                                     std::uint64_t crash_round = 0);
+
+/// Single-blob form of the above (the runner's --out path).
 [[nodiscard]] bool atomic_write_file(const std::string& path,
                                      std::string_view bytes,
                                      std::string* error,
                                      std::uint64_t crash_round = 0);
 
-/// Encodes and durably writes one checkpoint with retry/backoff and
-/// telemetry.  Never throws; returns false (and fills *error) only
-/// after all attempts failed.
+/// Durably writes one checkpoint with retry/backoff and telemetry.  The
+/// file is streamed as envelope prefix, payload and trailer, so the
+/// bytes equal encode(ckpt) without building that image.  Never throws;
+/// returns false (and fills *error) only after all attempts failed.
 [[nodiscard]] bool write_checkpoint_file(const std::string& path,
                                          const Checkpoint& ckpt,
                                          std::string* error);
@@ -90,7 +100,9 @@ class CheckpointPlan {
   [[nodiscard]] std::uint64_t every() const noexcept { return every_; }
 
   /// Writes `ckpt` to dir()/checkpoint_filename(ckpt.header.round) and
-  /// prunes all but the newest `keep` checkpoints this plan wrote.
+  /// prunes all but the newest `keep` checkpoints this plan wrote.  A
+  /// rewrite of a round already written replaces that entry (it is the
+  /// same file), so it is never pruned as an older copy of itself.
   /// Returns the written path, or nullopt if the write failed (the
   /// simulation continues either way).
   std::optional<std::string> write(const Checkpoint& ckpt);
@@ -99,7 +111,8 @@ class CheckpointPlan {
   std::string dir_;
   std::uint64_t every_ = 0;
   std::uint64_t keep_ = 3;
-  /// (round, path) of successfully written checkpoints, for retention.
+  /// (round, path) of successfully written checkpoints, oldest first,
+  /// each path at most once; for retention.
   std::vector<std::pair<std::uint64_t, std::string>> written_;
 };
 

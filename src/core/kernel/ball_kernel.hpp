@@ -291,6 +291,7 @@ class BallProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    w.reserve(w.size() + snapshot_size());
     w.u64(round_);
     w.u64(balls_);
     w.u32(last_departures_);
@@ -299,6 +300,19 @@ class BallProcessCore {
     if constexpr (kKind == BallVariantKind::kTetris) {
       w.vec(variant_.first_empty_);
     }
+  }
+
+  /// Exact number of bytes snapshot() appends.
+  [[nodiscard]] std::size_t snapshot_size() const noexcept
+    requires Stream::kScheduleFree
+  {
+    // round, balls, last_arrivals (u64) and last_departures (u32).
+    std::size_t bytes = 3 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                        serial::vec_bytes(loads_);
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      bytes += serial::vec_bytes(variant_.first_empty_);
+    }
+    return bytes;
   }
 
   /// Inverse of snapshot().  The target must be constructed with the

@@ -299,6 +299,7 @@ class MixedProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    w.reserve(w.size() + snapshot_size());
     w.u64(round_);
     w.u64(dropped_balls_);
     w.u64(dropped_weight_);
@@ -306,6 +307,16 @@ class MixedProcessCore {
     w.u64(last_drops_);
     w.vec(last_departures_by_class_);
     w.vec(counts_);
+  }
+
+  /// Exact number of bytes snapshot() appends.
+  [[nodiscard]] std::size_t snapshot_size() const noexcept
+    requires Stream::kScheduleFree
+  {
+    // round, both drop ledgers, last_departures, last_drops (u64 each).
+    return 5 * sizeof(std::uint64_t) +
+           serial::vec_bytes(last_departures_by_class_) +
+           serial::vec_bytes(counts_);
   }
 
   /// Inverse of snapshot().  The target must be constructed from the

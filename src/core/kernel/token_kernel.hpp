@@ -345,6 +345,7 @@ class TokenProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    w.reserve(w.size() + snapshot_size());
     w.u64(round_);
     store_.save_state(w);
     w.vec(progress_);
@@ -355,6 +356,21 @@ class TokenProcessCore {
       w.vec(cover_round_);
       w.u32(covered_tokens_);
     }
+  }
+
+  /// Exact number of bytes snapshot() appends.
+  [[nodiscard]] std::size_t snapshot_size() const noexcept
+    requires Stream::kScheduleFree
+  {
+    // round (u64), store, progress, the visit flag (u32), and with
+    // visits on the three visit vectors and covered_tokens (u32).
+    std::size_t bytes = sizeof(std::uint64_t) + store_.state_size() +
+                        serial::vec_bytes(progress_) + sizeof(std::uint32_t);
+    if (options_.track_visits) {
+      bytes += serial::vec_bytes(visited_) + serial::vec_bytes(visited_count_) +
+               serial::vec_bytes(cover_round_) + sizeof(std::uint32_t);
+    }
+    return bytes;
   }
 
   /// Inverse of snapshot(); the target must be constructed with the

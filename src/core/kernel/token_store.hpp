@@ -157,6 +157,12 @@ class FlatTokenStore {
     w.vec(bins_);
   }
 
+  /// Exact number of bytes save_state() appends.
+  [[nodiscard]] std::size_t state_size() const noexcept {
+    return sizeof(std::uint32_t) + serial::vec_bytes(slots_) +
+           serial::vec_bytes(bins_);
+  }
+
   /// Inverse of save_state(); the store must be constructed with the
   /// same bin/token counts and policy (std::invalid_argument otherwise).
   void load_state(serial::ByteReader& r) {

@@ -29,30 +29,62 @@ namespace rbb::serial {
 
 namespace detail {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-16 tables: kCrcTables[0] is the classic byte table of the
+/// reflected polynomial; kCrcTables[k][i] is the CRC register after
+/// byte i is followed by k zero bytes, so one 16-byte block folds into
+/// the register with 16 independent lookups instead of a serial chain.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 16>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+inline constexpr CrcTables kCrcTables = make_crc_tables();
+
+[[nodiscard]] inline std::uint32_t load_u32(const unsigned char* p) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 }  // namespace detail
 
 /// CRC32 of `size` bytes.  Chainable: pass a previous result as `crc`
-/// to extend the checksum over a further region.
+/// to extend the checksum over a further region.  Portable
+/// slicing-by-16 over whole 16-byte blocks (little-endian loads), one
+/// table lookup per byte for the tail.
 [[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t size,
                                          std::uint32_t crc = 0) noexcept {
+  const auto& t = detail::kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = detail::kCrcTable[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 16; p += 16, size -= 16) {
+    const std::uint32_t a = detail::load_u32(p) ^ crc;
+    const std::uint32_t b = detail::load_u32(p + 4);
+    const std::uint32_t c = detail::load_u32(p + 8);
+    const std::uint32_t d = detail::load_u32(p + 12);
+    crc = t[15][a & 0xFFu] ^ t[14][(a >> 8) & 0xFFu] ^
+          t[13][(a >> 16) & 0xFFu] ^ t[12][a >> 24] ^ t[11][b & 0xFFu] ^
+          t[10][(b >> 8) & 0xFFu] ^ t[9][(b >> 16) & 0xFFu] ^ t[8][b >> 24] ^
+          t[7][c & 0xFFu] ^ t[6][(c >> 8) & 0xFFu] ^
+          t[5][(c >> 16) & 0xFFu] ^ t[4][c >> 24] ^ t[3][d & 0xFFu] ^
+          t[2][(d >> 8) & 0xFFu] ^ t[1][(d >> 16) & 0xFFu] ^ t[0][d >> 24];
+  }
+  for (; size != 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -60,6 +92,14 @@ inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 [[nodiscard]] inline std::uint32_t crc32(std::string_view bytes,
                                          std::uint32_t crc = 0) noexcept {
   return crc32(bytes.data(), bytes.size(), crc);
+}
+
+/// Bytes ByteWriter::vec(v) appends: the u64 count plus the elements.
+/// The cores' snapshot_size() sums these so snapshot() can reserve its
+/// exact size up front.
+template <typename T>
+[[nodiscard]] std::size_t vec_bytes(const std::vector<T>& v) noexcept {
+  return sizeof(std::uint64_t) + v.size() * sizeof(T);
 }
 
 /// Append-only byte sink.  Fixed-width integers, doubles, raw byte
@@ -79,6 +119,10 @@ class ByteWriter {
     u64(v.size());
     if (!v.empty()) append(v.data(), v.size() * sizeof(T));
   }
+
+  /// Capacity hint: a writer reserved to its final size appends
+  /// without ever reallocating (and so never copies what it holds).
+  void reserve(std::size_t total) { bytes_.reserve(total); }
 
   [[nodiscard]] const std::string& str() const noexcept { return bytes_; }
   [[nodiscard]] std::string take() { return std::move(bytes_); }

@@ -1,14 +1,16 @@
 // rbb.ckpt.v1 format tests: encode/decode round trip, the rejection
 // table (every malformed header field raises its own named ErrorKind),
 // the corrupt-a-byte fuzz (EVERY single-byte mutation of a valid file
-// is detected and rejected -- nothing is ever silently restored), and
-// truncation at every possible length.
+// is detected and rejected -- nothing is ever silently restored),
+// truncation at every possible length, and a golden CRC of one encoded
+// image that pins the byte layout of rbb.ckpt.v1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
+#include "support/serial.hpp"
 
 namespace rbb::ckpt {
 namespace {
@@ -51,6 +53,16 @@ TEST(CkptHeader, EncodeDecodeRoundTrip) {
   EXPECT_EQ(got.header.options_digest, c.header.options_digest);
   EXPECT_EQ(got.meta, c.meta);
   EXPECT_EQ(got.payload, c.payload);
+}
+
+// The file bytes of rbb.ckpt.v1 are a contract with every checkpoint
+// already on disk.  These constants were recorded from the byte-wise
+// encoder that wrote the first v1 files; any layout or checksum change
+// moves them.
+TEST(CkptHeader, EncodedBytesMatchGoldenCrc) {
+  const std::string bytes = encode(sample_checkpoint());
+  EXPECT_EQ(bytes.size(), 141u);
+  EXPECT_EQ(serial::crc32(bytes), 0xC031F8C4u);
 }
 
 // -- rejection table: each malformed field gets its own ErrorKind ------------
