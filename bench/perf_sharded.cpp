@@ -84,7 +84,10 @@ BENCHMARK(BM_ShardedRoundShardSize)->Arg(1024)->Arg(4096)->Arg(16384)
 // time.  Phase totals are per-recording-thread (CPU-time-like), so at
 // t threads the phase counters can sum past the wall time.  Built with
 // RBB_TELEMETRY=0 every counter reads 0 -- the bench then measures the
-// true uninstrumented kernel.
+// true uninstrumented kernel.  rescan_ns_per_round is a block average:
+// the kernels rescan once per run(k) block, on its last round, so a
+// run(k) caller pays 1/k of it per round.  Each step() below is a block
+// of one, so here it is a full rescan every round.
 void BM_ShardedRoundPhaseBreakdown(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<unsigned>(state.range(1));

@@ -41,11 +41,15 @@
 // in chunked draw planes and append them to per-(stripe, target-shard)
 // buffers (plus, for refill variants, each stripe draws its contiguous
 // share of the fresh arrivals; for d-choices an extra *choose* phase
-// reads the now-stable post-departure loads); phase 2 *commit* --
-// stripes drain the buffers
-// addressed to their own shards, apply the arrivals cache-hot, and
-// rescan for the round statistics, reduced over stripes in fixed
-// order.  No locks, no atomics, no shared cache lines inside a phase.
+// reads the now-stable post-departure loads; Tetris banks the bins a
+// departure empties for the first time); phase 2 *commit* -- stripes
+// drain the buffers addressed to their own shards and apply the
+// arrivals cache-hot (Tetris then marks the banked bins still empty).
+// Only the LAST round of a run(k) block rescans its shards for max
+// load and empty bins, reduced over stripes in fixed order: callers
+// read the statistics after the block, so the O(n) pass is paid once
+// per block (a sharded step() is a block of one).  No locks, no
+// atomics, no shared cache lines inside a phase.
 #pragma once
 
 #include <algorithm>
@@ -108,6 +112,9 @@ class BallProcessCore {
                     kKind == BallVariantKind::kThreshold) {
         releasers_.resize(plan.stripe_count());
       }
+      if constexpr (kKind == BallVariantKind::kTetris) {
+        pending_empty_.resize(plan.stripe_count());
+      }
     }
   }
 
@@ -147,8 +154,8 @@ class BallProcessCore {
   /// Rounds executed since construction.
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] const LoadConfig& loads() const noexcept { return loads_; }
-  /// Current maximum load (O(1); maintained incrementally / by the
-  /// commit rescan).
+  /// Current maximum load (O(1); maintained incrementally on the
+  /// sequential path, by the rescan on a sharded block's last round).
   [[nodiscard]] load_t max_load() const noexcept { return max_load_; }
   /// Current number of empty bins (O(1)).
   [[nodiscard]] std::uint32_t empty_bins() const noexcept { return empty_; }
@@ -189,6 +196,9 @@ class BallProcessCore {
     bytes += acc_.capacity() * sizeof(StripeAcc);
     for (const auto& rel : releasers_) {
       bytes += rel.capacity() * sizeof(bin_index_t);
+    }
+    for (const auto& pend : pending_empty_) {
+      bytes += pend.capacity() * sizeof(bin_index_t);
     }
     if constexpr (kKind == BallVariantKind::kTetris) {
       bytes += variant_.first_empty_.capacity() * sizeof(std::uint64_t) +
@@ -675,6 +685,9 @@ class BallProcessCore {
       if constexpr (kChoose) {
         releasers_[g].clear();
       }
+      if constexpr (kKind == BallVariantKind::kTetris) {
+        pending_empty_[g].clear();
+      }
       for (bin_index_t u = begin; u < end; ++u) {
         load_t& load = loads_[u];
         if (load > 0) {
@@ -684,6 +697,11 @@ class BallProcessCore {
             releasers_[g].push_back(u);
           }
           // refill: the ball leaves; nothing to scatter for it.
+          if constexpr (kKind == BallVariantKind::kTetris) {
+            if (load == 0 && variant_.first_empty_[u] == kNeverEmptied) {
+              pending_empty_[g].push_back(u);
+            }
+          }
         }
       }
     }
@@ -736,11 +754,14 @@ class BallProcessCore {
 
   /// Phase 2 (commit) for one stripe: drains every stripe's `bufs`
   /// buffers addressed to its own shards (ascending source stripe --
-  /// the canonical arrival order) and rescans them for the round
-  /// statistics.  The shard's loads are cache-hot, so the random
-  /// within-shard scatter is cheap.
+  /// the canonical arrival order).  The shard's loads are cache-hot, so
+  /// the random within-shard scatter is cheap.  On the block's `last`
+  /// round each shard is then rescanned for the statistics run_sharded
+  /// reports; no caller reads them mid-block, so earlier rounds skip
+  /// the O(n) pass.  Tetris first-empty marks are per-round and cost
+  /// O(banked bins): the stripe's pending list from throw_stripe.
   void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<bin_index_t>* bufs)
+                     std::vector<bin_index_t>* bufs, bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
@@ -758,21 +779,12 @@ class BallProcessCore {
         for (const bin_index_t dest : buf) ++loads_[dest];
         buf.clear();
       }
+      if (!last) continue;
       const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const load_t load = loads_[u];
         if (load == 0) {
           ++acc.zeros;
-          if constexpr (kKind == BallVariantKind::kTetris) {
-            // End-load zero means the bin emptied this round (or was
-            // marked before): equivalent to the sequential pending
-            // logic, since arrivals only add and departures remove
-            // at most one ball.
-            if (variant_.first_empty_[u] == kNeverEmptied) {
-              variant_.first_empty_[u] = r + 1;
-              ++acc.cum_newly_emptied;
-            }
-          }
         } else if (load > acc.max) {
           acc.max = load;
         }
@@ -781,6 +793,16 @@ class BallProcessCore {
         const std::uint64_t rs1 = obs::now_ns();
         obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
         obs::record_span("rescan", rs0, rs1);
+      }
+    }
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      // A bin the departure took to zero was "empty at this round's
+      // end" only if no arrival refilled it (the sequential rule).
+      for (const bin_index_t u : pending_empty_[g]) {
+        if (loads_[u] == 0) {
+          variant_.first_empty_[u] = r + 1;
+          ++acc.cum_newly_emptied;
+        }
       }
     }
   }
@@ -834,11 +856,12 @@ class BallProcessCore {
           if constexpr (kChoose) choose_stripe(g, r0 + i, bufs(i));
         },
         [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
         });
 
     // Fixed-order reduction over stripes: the per-round acc fields hold
-    // the last round's values, the cum_* fields the block totals.
+    // the last round's values (max/zeros from its rescan), the cum_*
+    // fields the block totals.
     std::uint64_t total_departures = 0;
     std::uint32_t departures = 0;
     max_load_ = 0;
@@ -894,6 +917,12 @@ class BallProcessCore {
   std::vector<std::vector<bin_index_t>> buffers_alt_;
   std::vector<StripeAcc> acc_;
   std::vector<std::vector<bin_index_t>> releasers_;  // d-choices, per stripe
+  /// Tetris, per stripe: bins the round's throw took from one ball to
+  /// zero that had never been empty; commit_stripe marks those still
+  /// empty after its arrivals (the sharded twin of the variant's
+  /// sequential pending_empty_).  Stripe g's throw and commit run on
+  /// the same worker in program order, so the hand-off needs no sync.
+  std::vector<std::vector<bin_index_t>> pending_empty_;
 };
 
 }  // namespace rbb::kernel

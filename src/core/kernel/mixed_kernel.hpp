@@ -23,8 +23,10 @@
 //      initial totals == current totals + cumulative drops is the
 //      conservation invariant check_invariants() enforces.
 //   3. stats -- max load, empty bins, max weighted load, and (when any
-//      bin has a finite capacity) max utilization, recomputed in the
-//      same pass that the sharded commit rescans anyway.
+//      bin has a finite capacity) max utilization, recomputed by one
+//      pass over the bins: every round on the sequential path, on the
+//      last round of each run(k) block on the sharded path (the
+//      statistics are read only after a block).
 //
 // Schedule-free draws: the class pick of departure j of bin u draws on
 // slot 2^50 | (j << 32) | u, its destination on 2^51 | (j << 32) | u
@@ -621,9 +623,10 @@ class MixedProcessCore {
   /// addressed to its shards -- ascending source stripe, each buffer in
   /// push order, which per destination bin reproduces the sequential
   /// (u, j) arrival order, so capacity/drop decisions are bit-identical
-  /// -- then rescans its bins for the round statistics.
+  /// -- then, on the block's `last` round only, rescans its bins for
+  /// the statistics run_sharded reports.
   void commit_stripe(std::uint32_t g, std::uint64_t /*r*/,
-                     std::vector<std::uint64_t>* bufs)
+                     std::vector<std::uint64_t>* bufs, bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
@@ -652,6 +655,7 @@ class MixedProcessCore {
         }
         buf.clear();
       }
+      if (!last) continue;
       const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const load_t load = loads_[u];
@@ -707,11 +711,12 @@ class MixedProcessCore {
         },
         [](std::uint32_t, std::uint64_t) {},
         [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
         });
 
     // Fixed-order reduction over stripes: last round's stats from the
-    // per-round fields, cumulative drop accounting from the cum_* fields.
+    // per-round fields (max/zeros/max_w/max_util from its rescan),
+    // cumulative drop accounting from the cum_* fields.
     ball_count_t departures = 0;
     ball_count_t total_drops = 0;
     weighted_load_t total_dropped_w = 0;

@@ -205,10 +205,11 @@ class TokenProcessCore {
   [[nodiscard]] load_t load(bin_index_t u) const {
     return static_cast<load_t>(store_.count(u));
   }
-  /// Maximum load over all bins.  Sharded: O(1), maintained by the
-  /// commit rescan.  Sequential: computed lazily on first query after a
-  /// round, so an unobserved round pays no O(n) stats pass -- this
-  /// keeps the seq-counter perf rows an honest RNG-swap measurement.
+  /// Maximum load over all bins.  Sharded: O(1), set by the commit
+  /// rescan on the last round of each run(k) block.  Sequential:
+  /// computed lazily on first query after a round, so an unobserved
+  /// round pays no O(n) stats pass -- this keeps the seq-counter perf
+  /// rows an honest RNG-swap measurement.
   [[nodiscard]] load_t max_load() const {
     refresh_stats();
     return max_load_;
@@ -412,13 +413,21 @@ class TokenProcessCore {
     check_invariants();
   }
 
-  /// Testing hook: queue/token-position consistency; throws
-  /// std::logic_error on violation.  Walks the flat lists in place --
-  /// no per-bin heap copy.
+  /// Testing hook: queue/token-position consistency, and -- unless
+  /// they are pending a lazy refresh -- the max-load and empty-bin
+  /// stats; throws std::logic_error on violation.  Walks the flat lists
+  /// in place -- no per-bin heap copy.
   void check_invariants() const {
     std::uint64_t queued = 0;
+    load_t max = 0;
+    std::uint32_t zeros = 0;
     for (bin_index_t u = 0; u < bins_; ++u) {
       const std::uint32_t expect = store_.count(u);
+      if (expect == 0) {
+        ++zeros;
+      } else {
+        max = std::max(max, static_cast<load_t>(expect));
+      }
       std::uint32_t walked = 0;
       std::uint32_t last = FlatTokenStore::kNil;
       for (std::uint32_t t = store_.peek_head(u);
@@ -442,6 +451,9 @@ class TokenProcessCore {
     }
     if (queued != progress_.size()) {
       throw std::logic_error("TokenProcessCore: token count drifted");
+    }
+    if (!stats_dirty_ && (max != max_load_ || zeros != empty_)) {
+      throw std::logic_error("TokenProcessCore: round stats out of sync");
     }
     if constexpr (kShardedExec) {
       for (const auto& buf : buffers_) {
@@ -632,9 +644,10 @@ class TokenProcessCore {
   /// order the sequential sibling realizes by construction.  A token
   /// arrives in exactly one buffer and a stripe pushes only into its
   /// own shards' lists, so the store and visited_ writes are
-  /// stripe-exclusive.
+  /// stripe-exclusive.  Only the block's `last` round rescans the
+  /// shards for max load and empty bins (read after the block only).
   void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<Arrival>* bufs)
+                     std::vector<Arrival>* bufs, bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
@@ -663,6 +676,7 @@ class TokenProcessCore {
         }
         buf.clear();
       }
+      if (!last) continue;
       const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const auto load = static_cast<load_t>(store_.count(u));
@@ -706,10 +720,11 @@ class TokenProcessCore {
         },
         [](std::uint32_t, std::uint64_t) {},
         [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
         });
 
-    // Fixed-order reduction over stripes.
+    // Fixed-order reduction over stripes (max/zeros from the last
+    // round's rescan).
     max_load_ = 0;
     empty_ = 0;
     for (const StripeAcc& acc : acc_) {
@@ -717,7 +732,7 @@ class TokenProcessCore {
       empty_ += acc.zeros;
       covered_tokens_ += acc.cum_newly_covered;
     }
-    stats_dirty_ = false;  // the commit rescan just paid for them
+    stats_dirty_ = false;  // the last round's rescan just paid for them
     round_ += rounds;
   }
 

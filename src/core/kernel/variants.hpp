@@ -22,6 +22,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/kernel/stream.hpp"
@@ -289,7 +290,15 @@ struct Tetris {
         arrivals_(arrivals_per_round),
         sampling_(sampling) {}
 
-  void validate(std::uint32_t /*n*/) const {
+  /// Rejects arrival rates above one ball per bin per round (mu > 1):
+  /// past that the mass grows without bound (drift +(mu - 1) per bin)
+  /// and a round's work is no longer O(n).
+  void validate(std::uint32_t n) const {
+    if (arrivals_ > n) {
+      throw std::invalid_argument(
+          "Tetris: arrivals per round (" + std::to_string(arrivals_) +
+          ") exceed the bin count n = " + std::to_string(n));
+    }
     if constexpr (Stream::kScheduleFree) {
       if (sampling_ == ArrivalSampling::kSplit) {
         throw std::invalid_argument(

@@ -101,6 +101,26 @@ std::vector<ball_count_t> apportion(ball_count_t m,
 
 }  // namespace
 
+std::vector<load_t> deal_round_robin(
+    std::uint32_t bins, const std::vector<ball_count_t>& per_class) {
+  const std::size_t k = per_class.size();
+  std::vector<load_t> counts(static_cast<std::size_t>(bins) * k, 0);
+  // Balls with global index in [0, x) that land in bin u.
+  const auto dealt = [bins](ball_count_t x, std::uint32_t u) {
+    return x / bins + (u < x % bins ? 1 : 0);
+  };
+  ball_count_t begin = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const ball_count_t end = begin + per_class[c];
+    for (std::uint32_t u = 0; u < bins; ++u) {
+      counts[static_cast<std::size_t>(u) * k + c] =
+          static_cast<load_t>(dealt(end, u) - dealt(begin, u));
+    }
+    begin = end;
+  }
+  return counts;
+}
+
 MixedSpec make_mixed_spec(std::uint32_t bins, double ball_ratio,
                           const std::string& weight_profile,
                           const std::string& bin_profile) {
@@ -117,28 +137,21 @@ MixedSpec make_mixed_spec(std::uint32_t bins, double ball_ratio,
   }
   validate_weights(weights);
 
+  // One bin can come to hold every ball, and a bin's count is a load_t.
+  const double exact_balls = ball_ratio * static_cast<double>(bins);
+  if (!(exact_balls < static_cast<double>(kMaxMixedBalls) + 0.5)) {
+    throw std::invalid_argument(
+        "make_mixed_spec: m = round(ratio * n) exceeds 2^32 - 1 balls "
+        "(one bin's load must fit 32 bits)");
+  }
+
   MixedSpec spec;
   spec.bins = bins;
-  spec.balls = static_cast<ball_count_t>(
-      std::llround(ball_ratio * static_cast<double>(bins)));
+  spec.balls = static_cast<ball_count_t>(std::llround(exact_balls));
   if (spec.balls == 0) spec.balls = 1;
   spec.weights = std::move(weights);
-
-  const std::size_t k = spec.weights.class_weights.size();
-  spec.class_counts.assign(static_cast<std::size_t>(bins) * k, 0);
-
-  // Deal the balls round-robin over the bins, classes in consecutive
-  // blocks of their apportioned populations: ball i of class c lands in
-  // bin i % n, so every bin starts with floor(m/n) or ceil(m/n) balls.
-  const std::vector<ball_count_t> per_class =
-      apportion(spec.balls, spec.weights.fractions);
-  ball_count_t i = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    for (ball_count_t b = 0; b < per_class[c]; ++b, ++i) {
-      const auto u = static_cast<std::uint32_t>(i % bins);
-      ++spec.class_counts[static_cast<std::size_t>(u) * k + c];
-    }
-  }
+  spec.class_counts = deal_round_robin(
+      bins, apportion(spec.balls, spec.weights.fractions));
 
   spec.rates.assign(bins, 1);
   spec.capacities.assign(bins, 0);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,12 +76,25 @@ struct MixedSpec {
   std::vector<load_t> class_counts;
 };
 
+/// Largest ball count a mixed scenario may hold: one bin can come to
+/// hold every ball, and a bin's count is a load_t.
+inline constexpr ball_count_t kMaxMixedBalls =
+    std::numeric_limits<load_t>::max();
+
+/// The initial deal of make_mixed_spec: per_class[c] balls of class c,
+/// classes in consecutive blocks of the global ball index i, ball i to
+/// bin i % n.  Returns the bin-major class counts (n * k), computed in
+/// closed form per (class, bin) -- O(n * k), independent of m.  The
+/// total must not exceed kMaxMixedBalls.
+[[nodiscard]] std::vector<load_t> deal_round_robin(
+    std::uint32_t bins, const std::vector<ball_count_t>& per_class);
+
 /// Builds the deterministic mixed-regime scenario: m = round(ratio * n)
 /// balls, class populations by largest-remainder apportionment of the
 /// profile fractions, balls dealt round-robin over the bins (so every
 /// initial load is floor(m/n) or ceil(m/n), under any capacity).
-/// Throws std::invalid_argument on n == 0, ratio <= 0, or unknown
-/// profile names.
+/// Throws std::invalid_argument on n == 0, ratio <= 0, m > 2^32 - 1
+/// (kMaxMixedBalls), or unknown profile names.
 [[nodiscard]] MixedSpec make_mixed_spec(std::uint32_t bins, double ball_ratio,
                                         const std::string& weight_profile,
                                         const std::string& bin_profile);

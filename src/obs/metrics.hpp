@@ -67,7 +67,7 @@ enum class Phase : unsigned {
   kThrow = 0,    // sharded kernel phase 1: stripe throw tasks
   kChoose,       // sharded kernel phase 1.5: d-choices / threshold picks
   kCommit,       // sharded kernel phase 2: owner commit tasks
-  kRescan,       // commit-epilogue shard load rescans (stats)
+  kRescan,       // commit-epilogue shard stats rescans (block last round)
   kPlaneFill,    // DrawPlane fill_range / fill_gather
   kBarrierWait,  // submitter wait for ThreadPool batch completion
   kPoolTask,     // ThreadPool task bodies (invoke only, excludes waits)

@@ -193,6 +193,21 @@ void register_trajectory(Registry& registry) {
     s.weights = ctx.params.str("weights");
     s.bin_profile = ctx.params.str("bin-profile");
     if (s.n == 0) throw std::invalid_argument("trajectory: --n must be > 0");
+    // Work bounds, checked before anything is allocated: a Tetris round
+    // adds at most one ball per bin, and a mixed bin's load is a load_t.
+    if (s.family == "tetris" && s.arrivals > s.n) {
+      throw std::invalid_argument(
+          "trajectory: --arrivals=" + ctx.params.text("arrivals") +
+          " exceeds --n=" + ctx.params.text("n") +
+          " (at most one arrival per bin per round)");
+    }
+    if (s.family == "mixed" &&
+        !(s.ratio * static_cast<double>(s.n) <
+          static_cast<double>(kMaxMixedBalls) + 0.5)) {
+      throw std::invalid_argument(
+          "trajectory: --ratio=" + ctx.params.text("ratio") +
+          " gives m = round(ratio * n) above 2^32 - 1 balls");
+    }
     const auto n32 = static_cast<std::uint32_t>(s.n);
     const ckpt::Family tag = family_tag(s.family);
     const std::uint32_t digest = ckpt::digest(canonical_options(s));

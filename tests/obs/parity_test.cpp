@@ -154,7 +154,8 @@ std::size_t spans_named(const Recorded& rec, std::string_view name) {
 // also pins the round driver's dispatch count: every step() is a block
 // of one round and costs exactly one team batch, a run(k) block costs
 // one batch in total, and the width-1 inline case (threads = 1) never
-// waits, so it records no epoch_wait or overlap.
+// waits, so it records no epoch_wait or overlap.  The rescan span count
+// pins that the statistics pass runs once per block, not per round.
 TEST(ObsParity, InstrumentedRunActuallyRecords) {
   const Recorded stepped = record([] {
     auto proc = load_process(2);
@@ -175,8 +176,17 @@ TEST(ObsParity, InstrumentedRunActuallyRecords) {
   EXPECT_EQ(inline_run.snap.counter(Counter::kPoolBatches), 0u);
   EXPECT_EQ(inline_run.snap.phase(Phase::kEpochWait), 0u);
   EXPECT_EQ(inline_run.snap.phase(Phase::kOverlap), 0u);
-  EXPECT_GT(spans_named(inline_run, "rescan"), 0u);
   EXPECT_EQ(spans_named(inline_run, "epoch_wait"), 0u);
+
+  // Round statistics are rescanned once per block, on its last round:
+  // one span per shard for run(4), four times that for four step()s.
+  const std::size_t shards = load_process(1).plan().shard_count();
+  EXPECT_EQ(spans_named(inline_run, "rescan"), shards);
+  const Recorded inline_steps = record([] {
+    auto proc = load_process(1);
+    for (std::uint64_t r = 0; r < 4; ++r) proc.step();
+  });
+  EXPECT_EQ(spans_named(inline_steps, "rescan"), 4 * shards);
 }
 #endif  // RBB_TELEMETRY
 

@@ -318,5 +318,124 @@ TEST(PipelinedParity, MixedMatchesOracle) {
   }
 }
 
+// --- once-per-block statistics ----------------------------------------------
+//
+// A sharded run(k) rescans its shards for the round statistics on the
+// block's last round only.  These cases pin that every family still
+// reports the stats of the round it stopped on: after each of three
+// consecutive run(k) blocks, max_load()/empty_bins() (and the
+// family-specific stats) equal the sequential counter-stream sibling's
+// after the same number of step() calls, and check_invariants() agrees.
+
+constexpr std::uint64_t kBlockLengths[] = {1, 2, 3, 7};
+constexpr unsigned kBlockThreads[] = {1, 2};
+
+/// Runs three run(k) blocks of make_sharded(options) against
+/// make_oracle() stepped k times per block, for every k in
+/// kBlockLengths and threads in kBlockThreads; `extra(sharded, oracle)`
+/// adds the family's own comparisons.
+template <typename MakeSharded, typename MakeOracle, typename Extra>
+void expect_block_end_stats(MakeSharded make_sharded, MakeOracle make_oracle,
+                            Extra extra) {
+  for (const std::uint64_t k : kBlockLengths) {
+    for (const unsigned threads : kBlockThreads) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " threads=" << threads);
+      auto oracle = make_oracle();
+      auto sharded =
+          make_sharded(ShardedOptions{.threads = threads, .shard_size = 256});
+      for (int block = 0; block < 3; ++block) {
+        sharded.run(k);
+        for (std::uint64_t r = 0; r < k; ++r) oracle.step();
+        EXPECT_EQ(sharded.max_load(), oracle.max_load()) << "block " << block;
+        EXPECT_EQ(sharded.empty_bins(), oracle.empty_bins())
+            << "block " << block;
+        ASSERT_NO_THROW(sharded.check_invariants());
+        extra(sharded, oracle);
+      }
+    }
+  }
+}
+
+constexpr auto kNoExtra = [](const auto&, const auto&) {};
+
+TEST(BlockEndStats, Load) {
+  expect_block_end_stats(
+      [](ShardedOptions o) {
+        return ShardedRepeatedBallsProcess(start_config(InitialConfig::kAllInOne),
+                                           kSeed, o);
+      },
+      [] {
+        return SequentialCounterProcess(start_config(InitialConfig::kAllInOne),
+                                        kSeed);
+      },
+      kNoExtra);
+}
+
+TEST(BlockEndStats, TetrisIncludingFirstEmptyRounds) {
+  expect_block_end_stats(
+      [](ShardedOptions o) {
+        return ShardedTetrisProcess(start_config(InitialConfig::kRandom), kSeed,
+                                    0, o);
+      },
+      [] {
+        return SequentialCounterTetrisProcess(
+            start_config(InitialConfig::kRandom), kSeed);
+      },
+      [](const auto& sharded, const auto& oracle) {
+        EXPECT_EQ(sharded.all_emptied_once(), oracle.all_emptied_once());
+        for (std::uint32_t u = 0; u < kN; ++u) {
+          ASSERT_EQ(sharded.first_empty_round(u), oracle.first_empty_round(u))
+              << "bin " << u;
+        }
+      });
+}
+
+TEST(BlockEndStats, DChoices) {
+  constexpr std::uint32_t kD = 2;
+  expect_block_end_stats(
+      [](ShardedOptions o) {
+        return ShardedDChoicesProcess(start_config(InitialConfig::kAllInOne),
+                                      kD, kSeed, o);
+      },
+      [] {
+        return SequentialCounterDChoicesProcess(
+            start_config(InitialConfig::kAllInOne), kD, kSeed);
+      },
+      kNoExtra);
+}
+
+TEST(BlockEndStats, Leaky) {
+  constexpr double kLambda = 0.6;
+  expect_block_end_stats(
+      [](ShardedOptions o) {
+        return ShardedLeakyBinsProcess(start_config(), kLambda, kSeed, o);
+      },
+      [] { return SequentialCounterLeakyBinsProcess(start_config(), kLambda,
+                                                    kSeed); },
+      kNoExtra);
+}
+
+TEST(BlockEndStats, Token) {
+  expect_block_end_stats(
+      [](ShardedOptions o) {
+        return ShardedTokenProcess(kN, identity_placement(kN), kSeed, o);
+      },
+      [] {
+        return SequentialCounterTokenProcess(kN, identity_placement(kN), kSeed);
+      },
+      kNoExtra);
+}
+
+TEST(BlockEndStats, MixedIncludingWeightedLoadAndUtilization) {
+  const MixedSpec spec = make_mixed_spec(1024, 8.0, "zipf", "capped");
+  expect_block_end_stats(
+      [&spec](ShardedOptions o) { return ShardedMixedProcess(spec, kSeed, o); },
+      [&spec] { return SequentialCounterMixedProcess(spec, kSeed); },
+      [](const auto& sharded, const auto& oracle) {
+        EXPECT_EQ(sharded.max_weighted_load(), oracle.max_weighted_load());
+        EXPECT_EQ(sharded.max_utilization(), oracle.max_utilization());
+      });
+}
+
 }  // namespace
 }  // namespace rbb::par

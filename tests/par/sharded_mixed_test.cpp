@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -202,6 +203,64 @@ TEST(ShardedMixed, NearLimitTotalsNeedSixtyFourBits) {
     ASSERT_NO_THROW(seq.check_invariants());
     ASSERT_NO_THROW(sharded.check_invariants());
   }
+}
+
+// --- scenario construction ---------------------------------------------------
+
+/// The per-ball round-robin deal make_mixed_spec used before its closed
+/// form: ball i (classes in consecutive blocks) lands in bin i % n.
+std::vector<load_t> deal_ball_by_ball(std::uint32_t bins,
+                                      const std::vector<ball_count_t>& per_class) {
+  const std::size_t k = per_class.size();
+  std::vector<load_t> counts(static_cast<std::size_t>(bins) * k, 0);
+  ball_count_t i = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    for (ball_count_t b = 0; b < per_class[c]; ++b, ++i) {
+      ++counts[static_cast<std::size_t>(i % bins) * k + c];
+    }
+  }
+  return counts;
+}
+
+TEST(MixedSpecDeal, ClosedFormEqualsPerBallLoop) {
+  const std::vector<std::vector<ball_count_t>> populations = {
+      {0},          {1},           {7},         {5, 0, 3},
+      {13, 1, 29},  {64, 64},      {100, 0},    {3, 17, 2, 41},
+      {0, 0, 9, 0}, {250, 1, 1, 1}};
+  for (const std::uint32_t bins : {1u, 2u, 3u, 7u, 16u, 33u}) {
+    for (const std::vector<ball_count_t>& per_class : populations) {
+      EXPECT_EQ(deal_round_robin(bins, per_class),
+                deal_ball_by_ball(bins, per_class))
+          << "n=" << bins << " k=" << per_class.size();
+    }
+  }
+}
+
+TEST(MixedSpecDeal, SpecClassCountsMatchPerBallDeal) {
+  for (const char* weights : {"unit", "bimodal", "zipf"}) {
+    for (const double ratio : {0.3, 1.0, 2.5, 8.0}) {
+      const MixedSpec spec = spec_of(37, ratio, weights, "uniform");
+      const std::size_t k = spec.weights.class_weights.size();
+      std::vector<ball_count_t> per_class(k, 0);
+      for (std::uint32_t u = 0; u < spec.bins; ++u) {
+        for (std::size_t c = 0; c < k; ++c) {
+          per_class[c] += spec.class_counts[u * k + c];
+        }
+      }
+      EXPECT_EQ(spec.class_counts, deal_ball_by_ball(spec.bins, per_class))
+          << weights << " ratio=" << ratio;
+    }
+  }
+}
+
+TEST(MixedSpecDeal, BallCountBoundedByLoadRange) {
+  // One bin can come to hold every ball, so m must fit a load_t.
+  EXPECT_THROW(spec_of(1000, 1e12, "unit", "uniform"), std::invalid_argument);
+  EXPECT_THROW(spec_of(1, 4294967296.0, "unit", "uniform"),
+               std::invalid_argument);
+  const MixedSpec at_limit = spec_of(1, 4294967295.0, "unit", "uniform");
+  EXPECT_EQ(at_limit.balls, kMaxMixedBalls);
+  EXPECT_EQ(at_limit.class_counts, std::vector<load_t>{4294967295u});
 }
 
 // --- threshold-variant parity (rides the same suite: both kernels are

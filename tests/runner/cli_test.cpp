@@ -343,6 +343,31 @@ TEST(Cli, ThresholdAllocationRejectsOversizedThreshold) {
                       "--threshold=4294967296");
 }
 
+// Parameters that set a run's work up front are bounded before any
+// allocation: each of these used to run past any timeout.
+TEST(Cli, TrajectoryRejectsTetrisArrivalsAboveN) {
+  const CliResult r = rbb({"run", "trajectory", "--family=tetris",
+                           "--arrivals=99999999999", "--n=1000",
+                           "--rounds=3"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--arrivals=99999999999"), std::string::npos) << r.err;
+}
+
+TEST(Cli, TrajectoryAcceptsTetrisArrivalsEqualToN) {
+  const CliResult r = rbb({"run", "trajectory", "--family=tetris",
+                           "--arrivals=1000", "--n=1000", "--rounds=3",
+                           "--format=json"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("\"schema\": \"rbb.result.v1\""), std::string::npos);
+}
+
+TEST(Cli, TrajectoryRejectsMixedRatioBeyondLoadRange) {
+  const CliResult r = rbb({"run", "trajectory", "--family=mixed",
+                           "--ratio=1e12", "--n=1000", "--rounds=3"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--ratio=1e12"), std::string::npos) << r.err;
+}
+
 TEST(Cli, RunReportsDriverRejectionsCleanly) {
   // n = 1 is rejected inside run_stability ("n < 2"); the CLI must turn
   // that into exit 1 + message, not std::terminate.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 
 #include "support/bounds.hpp"
@@ -118,14 +119,26 @@ TEST(Tetris, CustomArrivalRateRespected) {
   EXPECT_EQ(proc.total_balls(), before - 16 + 4);
 }
 
-TEST(Tetris, SupercriticalArrivalsGrowMass) {
-  // arrivals > n: total mass must grow every round -- the drift ablation.
+TEST(Tetris, CriticalArrivalsGrowMass) {
+  // arrivals = n, the largest admitted rate (mu = 1): departures are at
+  // most n, so the mass never shrinks, and it grows whenever a bin is
+  // empty -- the drift ablation at its boundary.
   Rng rng(9);
   constexpr std::uint32_t n = 64;
-  TetrisProcess proc(LoadConfig(n, 1), rng, 2 * n);
+  TetrisProcess proc(LoadConfig(n, 1), rng, n);
   const std::uint64_t before = proc.total_balls();
   proc.run(50);
   EXPECT_GT(proc.total_balls(), before);
+}
+
+TEST(Tetris, RejectsArrivalsAboveBinCount) {
+  // mu > 1 grows the mass without bound and makes a round's work
+  // unbounded in n; it is rejected at construction.
+  constexpr std::uint32_t n = 64;
+  EXPECT_THROW(TetrisProcess(LoadConfig(n, 1), Rng(9), 2 * n),
+               std::invalid_argument);
+  EXPECT_THROW(TetrisProcess(LoadConfig(n, 1), Rng(9), n + 1),
+               std::invalid_argument);
 }
 
 TEST(Tetris, SplitSamplingStatisticallyEquivalent) {
