@@ -87,6 +87,14 @@ class BallProcessCore {
   static_assert(std::is_same_v<LoadConfig::value_type, load_t>,
                 "LoadConfig must store load_t (see support/types.hpp)");
 
+  /// Refill variants discard the departing ball and draw fresh
+  /// arrivals; choose variants place each releaser's ball by reading
+  /// post-departure loads.
+  static constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
+                                  kKind == BallVariantKind::kLeaky;
+  static constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
+                                  kKind == BallVariantKind::kThreshold;
+
   static constexpr std::uint64_t kNeverEmptied =
       std::numeric_limits<std::uint64_t>::max();
 
@@ -105,11 +113,9 @@ class BallProcessCore {
     recompute_stats();
     if constexpr (kShardedExec) {
       const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
+      grid_ = Grid(plan);
       acc_.resize(plan.stripe_count());
-      if constexpr (kKind == BallVariantKind::kDChoices ||
-                    kKind == BallVariantKind::kThreshold) {
+      if constexpr (kChoose) {
         releasers_.resize(plan.stripe_count());
       }
       if constexpr (kKind == BallVariantKind::kTetris) {
@@ -186,14 +192,9 @@ class BallProcessCore {
     std::size_t bytes = loads_.capacity() * sizeof(load_t) +
                         scratch_.capacity() * sizeof(bin_index_t) +
                         scratch_dest_.capacity() * sizeof(bin_index_t) +
-                        scratch_cand_.capacity() * sizeof(bin_index_t);
-    for (const auto& buf : buffers_) {
-      bytes += buf.capacity() * sizeof(bin_index_t);
-    }
-    for (const auto& buf : buffers_alt_) {
-      bytes += buf.capacity() * sizeof(bin_index_t);
-    }
-    bytes += acc_.capacity() * sizeof(StripeAcc);
+                        scratch_cand_.capacity() * sizeof(bin_index_t) +
+                        grid_.capacity_bytes() +
+                        acc_.capacity() * sizeof(StripeAcc);
     for (const auto& rel : releasers_) {
       bytes += rel.capacity() * sizeof(bin_index_t);
     }
@@ -388,19 +389,8 @@ class BallProcessCore {
             "BallProcessCore: first-empty tracking out of sync");
       }
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "BallProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "BallProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!grid_.drained()) {
+      throw std::logic_error("BallProcessCore: scatter buffer not drained");
     }
   }
 
@@ -453,8 +443,6 @@ class BallProcessCore {
   void step_sequential() {
     const std::uint32_t n = bin_count();
     const std::uint64_t r = round_;
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
 
     std::uint32_t departures = 0;
     std::uint32_t zeros = 0;
@@ -480,8 +468,7 @@ class BallProcessCore {
           }
           // xoshiro clique path: destinations are block-drawn below so
           // the generator state stays in registers (design choice D4).
-        } else if constexpr (kKind == BallVariantKind::kDChoices ||
-                             kKind == BallVariantKind::kThreshold) {
+        } else if constexpr (kChoose) {
           if constexpr (Stream::kScheduleFree) {
             scratch_.push_back(u);  // releasers; choices read the snapshot
           }
@@ -528,8 +515,7 @@ class BallProcessCore {
             scratch_dest_.data());
         apply_scatter(scratch_dest_);
       }
-    } else if constexpr (kKind == BallVariantKind::kDChoices ||
-                         kKind == BallVariantKind::kThreshold) {
+    } else if constexpr (kChoose) {
       if constexpr (!Stream::kScheduleFree) {
         // Classic online placement: arrivals of the same round are
         // visible to later probes/choices.
@@ -614,6 +600,8 @@ class BallProcessCore {
 
   // --- the sharded round ----------------------------------------------------
 
+  using Grid = ScatterGrid<bin_index_t>;
+
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line.  The per-round fields are reset by each round's
   /// phase bodies (so after a block they hold the LAST round's values);
@@ -628,28 +616,21 @@ class BallProcessCore {
   };
 
   /// Phase 1 (throw) for one stripe of round r: departures +
-  /// destination draws into the stripe's rows of `bufs` (the
-  /// parity-selected buffer base; bufs[g * shard_count + s] receives
-  /// stripe g's throws into shard s).  The counter stream keys every
+  /// destination draws pushed through the stripe's `row` of the
+  /// round's scatter set.  The counter stream keys every
   /// draw by (round, slot), so the round's randomness is independent of
   /// the schedule.  Reads and writes only the stripe's own bins; refill
   /// variants also draw their contiguous share of the round's fresh
   /// arrivals here -- those draws read no loads.
   void throw_stripe(std::uint32_t g, std::uint64_t r, ball_count_t arrivals,
-                    std::vector<bin_index_t>* bufs)
+                    Grid::Set::Row row)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kThrow);
     const std::uint32_t n = bin_count();
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    const std::uint32_t stripes = plan.stripe_count();
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
     StripeAcc& acc = acc_[g];
     acc.departures = 0;
-    std::vector<bin_index_t>* row =
-        bufs + static_cast<std::size_t>(g) * shard_count;
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     if constexpr (kKind == BallVariantKind::kLoadOnly) {
@@ -664,8 +645,7 @@ class BallProcessCore {
         obs::add(obs::Counter::kChunkFlushes);
         variant_.stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
         for (std::uint32_t i = 0; i < pending; ++i) {
-          const bin_index_t dest = dest_buf[i];
-          row[plan.shard_of(dest)].push_back(dest);
+          row.push(dest_buf[i], dest_buf[i]);
         }
         pending = 0;
       };
@@ -680,8 +660,6 @@ class BallProcessCore {
       }
       if (pending > 0) flush();
     } else {
-      constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
-                               kKind == BallVariantKind::kThreshold;
       if constexpr (kChoose) {
         releasers_[g].clear();
       }
@@ -706,6 +684,7 @@ class BallProcessCore {
       }
     }
     if constexpr (kRefill) {
+      const std::uint32_t stripes = plan.stripe_count();
       const ball_count_t lo = arrivals * g / stripes;
       const ball_count_t hi = arrivals * (g + 1) / stripes;
       bin_index_t chunk[kDrawChunk];
@@ -714,9 +693,7 @@ class BallProcessCore {
             std::min<ball_count_t>(kDrawChunk, hi - i));
         obs::add(obs::Counter::kChunkFlushes);
         variant_.stream_.fill_range(r, fresh_arrival_slot(i), len, n, chunk);
-        for (std::uint32_t k = 0; k < len; ++k) {
-          row[plan.shard_of(chunk[k])].push_back(chunk[k]);
-        }
+        for (std::uint32_t k = 0; k < len; ++k) row.push(chunk[k], chunk[k]);
         i += len;
       }
     }
@@ -730,14 +707,11 @@ class BallProcessCore {
   /// the batch-snapshot convention the sequential counter-stream
   /// sibling realizes (variants.hpp).
   void choose_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<bin_index_t>* bufs)
+                     Grid::Set::Row row)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kChoose);
     const std::uint32_t n = bin_count();
-    const ShardPlan& plan = exec_.plan();
-    std::vector<bin_index_t>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
     const std::vector<bin_index_t>& rel = releasers_[g];
     bin_index_t best[kDrawChunk];
     bin_index_t cand[kDrawChunk];
@@ -745,42 +719,35 @@ class BallProcessCore {
       const auto len = static_cast<std::uint32_t>(
           std::min<std::size_t>(kDrawChunk, rel.size() - i));
       variant_.choose_batch(r, rel.data() + i, len, n, loads_, best, cand);
-      for (std::uint32_t k = 0; k < len; ++k) {
-        row[plan.shard_of(best[k])].push_back(best[k]);
-      }
+      for (std::uint32_t k = 0; k < len; ++k) row.push(best[k], best[k]);
       i += len;
     }
   }
 
-  /// Phase 2 (commit) for one stripe: drains every stripe's `bufs`
-  /// buffers addressed to its own shards (ascending source stripe --
-  /// the canonical arrival order).  The shard's loads are cache-hot, so
-  /// the random within-shard scatter is cheap.  On the block's `last`
+  /// Phase 2 (commit) for one stripe: drains the round's `set` for
+  /// each of its own shards (ascending source stripe -- the canonical
+  /// arrival order).  The shard's loads are cache-hot, so the random
+  /// within-shard scatter is cheap.  On the block's `last`
   /// round each shard is then rescanned for the statistics run_sharded
   /// reports; no caller reads them mid-block, so earlier rounds skip
   /// the O(n) pass.  Tetris first-empty marks are per-round and cost
   /// O(banked bins): the stripe's pending list from throw_stripe.
-  void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<bin_index_t>* bufs, bool last)
+  void commit_stripe(std::uint32_t g, std::uint64_t r, const Grid::Set& set,
+                     bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    const std::uint32_t stripes = plan.stripe_count();
     StripeAcc& acc = acc_[g];
     acc.max = 0;
     acc.zeros = 0;
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < stripes; ++src) {
-        std::vector<bin_index_t>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
+      set.drain(s, [this](const std::vector<bin_index_t>& buf) {
         for (const bin_index_t dest : buf) ++loads_[dest];
-        buf.clear();
-      }
+      });
       if (!last) continue;
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
+      const obs::ScopedPhase rescan_span(obs::Phase::kRescan);
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const load_t load = loads_[u];
         if (load == 0) {
@@ -788,11 +755,6 @@ class BallProcessCore {
         } else if (load > acc.max) {
           acc.max = load;
         }
-      }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
       }
     }
     if constexpr (kKind == BallVariantKind::kTetris) {
@@ -808,23 +770,12 @@ class BallProcessCore {
   }
 
   /// Runs a block of `rounds` >= 1 rounds on the round driver
-  /// (pipeline.hpp), alternating between buffers_ and buffers_alt_ by
-  /// round parity so a worker's throw of round i+1 may overlap peers'
-  /// commits of round i.  Same draws and canonical commit order as the
-  /// sequential counter-stream sibling.
+  /// (pipeline.hpp), which overlaps a worker's throw of round i+1 with
+  /// peers' commits of round i.  Same draws and canonical commit order
+  /// as the sequential counter-stream sibling.
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint32_t stripes = exec_.plan().stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
-    constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
-                             kKind == BallVariantKind::kThreshold;
-    if (rounds > 1 && width > 1 && buffers_alt_.empty()) {
-      buffers_alt_.resize(buffers_.size());
-    }
-
     // Fresh-arrival counts are drawn sequentially up front: the leaky
     // law is a shared distribution object (not thread-safe), and the
     // draws are schedule-free by (round) key, so hoisting them changes
@@ -841,22 +792,18 @@ class BallProcessCore {
       acc.cum_newly_emptied = 0;
     }
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 || buffers_alt_.empty() ? buffers_.data()
-                                                  : buffers_alt_.data();
-    };
     run_pipeline(
-        exec_.stripes(), stripes, width, rounds, kChoose,
-        [&](std::uint32_t g, std::uint64_t i) {
+        grid_, exec_, rounds, kChoose,
+        [&](std::uint32_t g, std::uint64_t i, const Grid::Set& set) {
           throw_stripe(g, r0 + i,
                        kRefill ? arrivals_by_round[i] : ball_count_t{0},
-                       bufs(i));
+                       set.row(g));
         },
-        [&](std::uint32_t g, std::uint64_t i) {
-          if constexpr (kChoose) choose_stripe(g, r0 + i, bufs(i));
+        [&](std::uint32_t g, std::uint64_t i, const Grid::Set& set) {
+          if constexpr (kChoose) choose_stripe(g, r0 + i, set.row(g));
         },
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
+        [&](std::uint32_t g, std::uint64_t i, const Grid::Set& set) {
+          commit_stripe(g, r0 + i, set, i + 1 == rounds);
         });
 
     // Fixed-order reduction over stripes: the per-round acc fields hold
@@ -906,15 +853,9 @@ class BallProcessCore {
   std::vector<bin_index_t> scratch_dest_;
   std::vector<bin_index_t> scratch_cand_;
 
-  /// buffers_[stripe * shard_count + target_shard]: destinations thrown
-  /// by `stripe` into `target_shard` this round.  Cleared (capacity
-  /// kept) by the phase-2 task that drains them.  Sharded only.
-  /// buffers_alt_ is the odd-parity twin (run_sharded): block round i
-  /// throws into the parity-(i&1) set so throw(i+1) never touches
-  /// buffers a peer is still committing.  Sized lazily on the first
-  /// block of >= 2 rounds on a team of >= 2 workers.
-  std::vector<std::vector<bin_index_t>> buffers_;
-  std::vector<std::vector<bin_index_t>> buffers_alt_;
+  /// The round's destinations, by (source stripe, target shard).
+  /// Sharded only; empty on the sequential path.
+  Grid grid_;
   std::vector<StripeAcc> acc_;
   std::vector<std::vector<bin_index_t>> releasers_;  // d-choices, per stripe
   /// Tetris, per stripe: bins the round's throw took from one ball to

@@ -141,8 +141,7 @@ class MixedProcessCore {
     rescan_stats();
     if constexpr (kShardedExec) {
       const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
+      grid_ = Grid(plan);
       acc_.resize(plan.stripe_count());
       class_acc_.assign(static_cast<std::size_t>(plan.stripe_count()) * k, 0);
     }
@@ -243,15 +242,10 @@ class MixedProcessCore {
                         counts_.capacity() * sizeof(load_t) +
                         rates_.capacity() * sizeof(std::uint32_t) +
                         caps_.capacity() * sizeof(load_t) +
-                        scratch_.capacity() * sizeof(std::uint64_t);
-    for (const auto& buf : buffers_) {
-      bytes += buf.capacity() * sizeof(std::uint64_t);
-    }
-    for (const auto& buf : buffers_alt_) {
-      bytes += buf.capacity() * sizeof(std::uint64_t);
-    }
-    bytes += acc_.capacity() * sizeof(StripeAcc) +
-             class_acc_.capacity() * sizeof(ball_count_t);
+                        scratch_.capacity() * sizeof(std::uint64_t) +
+                        grid_.capacity_bytes() +
+                        acc_.capacity() * sizeof(StripeAcc) +
+                        class_acc_.capacity() * sizeof(ball_count_t);
     return bytes;
   }
 
@@ -409,19 +403,8 @@ class MixedProcessCore {
     if (max != max_load_ || zeros != empty_ || max_w != max_wload_) {
       throw std::logic_error("MixedProcessCore: round stats out of sync");
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "MixedProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "MixedProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!grid_.drained()) {
+      throw std::logic_error("MixedProcessCore: scatter buffer not drained");
     }
   }
 
@@ -564,6 +547,8 @@ class MixedProcessCore {
 
   // --- the sharded round ----------------------------------------------------
 
+  using Grid = ScatterGrid<std::uint64_t>;
+
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line (per-class departure counts live in class_acc_).
   /// Per-round fields are reset by each round's phase bodies; cum_*
@@ -582,13 +567,12 @@ class MixedProcessCore {
 
   /// Phase 1 (throw) for one stripe of round r: walks its own bins,
   /// removes the departing balls (class picks touch only owned rows)
-  /// and scatters the packed (class, destination) words into its rows
-  /// of `bufs` (the parity-selected buffer base) in ascending (u, j)
-  /// order.  The class-draw bound `remaining` reads only own-bin loads,
-  /// whose value at throw start is the post-commit state of the
-  /// previous round -- schedule-independent.
-  void throw_stripe(std::uint32_t g, std::uint64_t r,
-                    std::vector<std::uint64_t>* bufs)
+  /// and pushes the packed (class, destination) words through its
+  /// `row` of the round's scatter set in ascending (u, j) order.  The
+  /// class-draw bound `remaining` reads only own-bin loads, whose value
+  /// at throw start is the post-commit state of the previous round --
+  /// schedule-independent.
+  void throw_stripe(std::uint32_t g, std::uint64_t r, Grid::Set::Row row)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kThrow);
@@ -599,8 +583,6 @@ class MixedProcessCore {
     acc.departures = 0;
     ball_count_t* dep_by_class = &class_acc_[static_cast<std::size_t>(g) * k];
     std::fill(dep_by_class, dep_by_class + k, 0);
-    std::vector<std::uint64_t>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     for (bin_index_t u = begin; u < end; ++u) {
@@ -614,25 +596,22 @@ class MixedProcessCore {
         const std::uint32_t cls = take_class(u, x);
         ++dep_by_class[cls];
         ++acc.departures;
-        row[plan.shard_of(dest)].push_back(pack(cls, dest));
+        row.push(dest, pack(cls, dest));
       }
     }
   }
 
-  /// Phase 2 (commit) for one stripe: drains the `bufs` buffers
-  /// addressed to its shards -- ascending source stripe, each buffer in
-  /// push order, which per destination bin reproduces the sequential
-  /// (u, j) arrival order, so capacity/drop decisions are bit-identical
-  /// -- then, on the block's `last` round only, rescans its bins for
-  /// the statistics run_sharded reports.
-  void commit_stripe(std::uint32_t g, std::uint64_t /*r*/,
-                     std::vector<std::uint64_t>* bufs, bool last)
+  /// Phase 2 (commit) for one stripe: drains the round's `set` for its
+  /// shards -- ascending source stripe, each buffer in push order,
+  /// which per destination bin reproduces the sequential (u, j) arrival
+  /// order, so capacity/drop decisions are bit-identical -- then, on
+  /// the block's `last` round only, rescans its bins for the statistics
+  /// run_sharded reports.
+  void commit_stripe(std::uint32_t g, const Grid::Set& set, bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    const std::uint32_t stripes = plan.stripe_count();
     StripeAcc& acc = acc_[g];
     acc.drops = 0;
     acc.dropped_weight = 0;
@@ -642,9 +621,7 @@ class MixedProcessCore {
     acc.max_util = 0.0;
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < stripes; ++src) {
-        std::vector<std::uint64_t>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
+      set.drain(s, [&](const std::vector<std::uint64_t>& buf) {
         for (const std::uint64_t word : buf) {
           const auto cls = static_cast<std::uint32_t>(word >> 32);
           const auto dest = static_cast<bin_index_t>(word);
@@ -653,10 +630,9 @@ class MixedProcessCore {
             acc.dropped_weight += weights_.class_weights[cls];
           }
         }
-        buf.clear();
-      }
+      });
       if (!last) continue;
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
+      const obs::ScopedPhase rescan_span(obs::Phase::kRescan);
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const load_t load = loads_[u];
         if (load == 0) {
@@ -671,47 +647,34 @@ class MixedProcessCore {
                                          static_cast<double>(caps_[u]));
         }
       }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
-      }
     }
     acc.cum_drops += acc.drops;
     acc.cum_dropped_weight += acc.dropped_weight;
   }
 
   /// Runs a block of `rounds` >= 1 rounds on the round driver
-  /// (pipeline.hpp), buffers alternating by round parity.  class_acc_
-  /// rows are per-stripe and reset by each round's throw, so after the
-  /// block they hold the LAST round's per-class departures -- exactly
-  /// what last_departures_by_class_ reports.
+  /// (pipeline.hpp).  class_acc_ rows are per-stripe and reset by each
+  /// round's throw, so after the block they hold the LAST round's
+  /// per-class departures -- exactly what last_departures_by_class_
+  /// reports.
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
     const std::uint32_t k = class_count();
     const std::uint32_t stripes = exec_.plan().stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (rounds > 1 && width > 1 && buffers_alt_.empty()) {
-      buffers_alt_.resize(buffers_.size());
-    }
     for (StripeAcc& acc : acc_) {
       acc.cum_drops = 0;
       acc.cum_dropped_weight = 0;
     }
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 || buffers_alt_.empty() ? buffers_.data()
-                                                  : buffers_alt_.data();
-    };
     run_pipeline(
-        exec_.stripes(), stripes, width, rounds, /*has_choose=*/false,
-        [&](std::uint32_t g, std::uint64_t i) {
-          throw_stripe(g, r0 + i, bufs(i));
+        grid_, exec_, rounds, /*has_choose=*/false,
+        [&](std::uint32_t g, std::uint64_t i, const Grid::Set& set) {
+          throw_stripe(g, r0 + i, set.row(g));
         },
-        [](std::uint32_t, std::uint64_t) {},
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
+        [](std::uint32_t, std::uint64_t, const Grid::Set&) {},
+        [&](std::uint32_t g, std::uint64_t i, const Grid::Set& set) {
+          commit_stripe(g, set, i + 1 == rounds);
         });
 
     // Fixed-order reduction over stripes: last round's stats from the
@@ -792,12 +755,9 @@ class MixedProcessCore {
 
   std::vector<std::uint64_t> scratch_;  // sequential (class, dest) words
 
-  /// buffers_[stripe * shard_count + target_shard]: packed arrivals
-  /// thrown by `stripe` into `target_shard` this round.  Sharded only.
-  /// buffers_alt_ is the odd-parity twin (run_sharded), sized lazily
-  /// on the first block of >= 2 rounds on a team of >= 2 workers.
-  std::vector<std::vector<std::uint64_t>> buffers_;
-  std::vector<std::vector<std::uint64_t>> buffers_alt_;
+  /// The round's packed arrivals by (source stripe, target shard).
+  /// Sharded only.
+  Grid grid_;
   std::vector<StripeAcc> acc_;
   std::vector<ball_count_t> class_acc_;  // stripes x k departure counts
 };

@@ -1,5 +1,5 @@
-// The round driver of the sharded kernels (DESIGN.md Sect. 5,
-// "Pipelined execution").
+// The round driver of the sharded kernels and the scatter exchange it
+// owns (DESIGN.md Sect. 5, "Pipelined execution").
 //
 // Every sharded round -- a single step() as well as a batched
 // run(rounds) -- executes through run_pipeline: ONE resident worker
@@ -11,6 +11,15 @@
 // nested without a grant) the same per-worker body runs inline at
 // width 1: worker 0 owns every stripe and every wait is trivially
 // satisfied, so it does not wait at all.
+//
+// The exchange between the phases is a ScatterGrid: per-(source
+// stripe, target shard) arrival buffers, laid out
+// [stripe * shard_count + shard], in two sets selected by block-round
+// parity.  A core never sees the layout or the parity rule: its throw
+// pushes through a stripe's Row (dest -> shard_of(dest)), its commit
+// drains each owned shard through Set::drain, which visits the buffers
+// in ascending source stripe -- the canonical arrival order every
+// parity suite pins -- and clears them.
 //
 // Per round i, each worker executes
 //
@@ -42,8 +51,10 @@
 // TSan at RBB_THREADS=4).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <mutex>
@@ -51,10 +62,111 @@
 #include <vector>
 
 #include "core/kernel/exec.hpp"
+#include "core/kernel/shard.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/types.hpp"
 
 namespace rbb::kernel {
+
+/// The scatter exchange of the sharded cores: buffer (g, s) holds the
+/// arrival words stripe g threw into shard s this round, in push order.
+/// `Word` is whatever a core needs per arrival (a destination bin, a
+/// {destination, token} pair, a packed {class, destination} word).
+///
+/// Two buffer sets alternate by block-round parity so a worker's throw
+/// of round i+1 never refills buffers a peer is still committing.  The
+/// odd set is sized lazily (prepare): only a block of >= 2 rounds on a
+/// team of >= 2 workers can overlap, so step(), run(1), threads = 1
+/// and resumed processes keep a single set.  Buffers are cleared, with
+/// their capacity kept, by the commit that drains them, so every buffer
+/// is empty at a round boundary (drained()) and none is ever
+/// serialized.
+template <typename Word>
+class ScatterGrid {
+ public:
+  using Buffer = std::vector<Word>;
+
+  /// One parity set, as handed to a phase body by run_pipeline.
+  class Set {
+   public:
+    /// Stripe g's row of the set.
+    class Row {
+     public:
+      /// Appends `word` to the buffer of dest's shard.
+      void push(bin_index_t dest, const Word& word) const {
+        row_[plan_.shard_of(dest)].push_back(word);
+      }
+
+     private:
+      friend class Set;
+      Row(Buffer* row, const ShardPlan& plan) : row_(row), plan_(plan) {}
+      Buffer* row_;
+      ShardPlan plan_;  // by value: shard_of stays in registers
+    };
+
+    [[nodiscard]] Row row(std::uint32_t stripe) const {
+      return Row(
+          bufs_ + static_cast<std::size_t>(stripe) * plan_->shard_count(),
+          *plan_);
+    }
+
+    /// Visits every stripe's buffer addressed to `shard` in ascending
+    /// source stripe -- fn(const Buffer&) -- and clears each one.
+    template <typename Fn>
+    void drain(std::uint32_t shard, Fn&& fn) const {
+      const std::uint32_t shard_count = plan_->shard_count();
+      for (std::uint32_t src = 0; src < plan_->stripe_count(); ++src) {
+        Buffer& buf =
+            bufs_[static_cast<std::size_t>(src) * shard_count + shard];
+        fn(static_cast<const Buffer&>(buf));
+        buf.clear();
+      }
+    }
+
+   private:
+    friend class ScatterGrid;
+    Set(Buffer* bufs, const ShardPlan& plan) : bufs_(bufs), plan_(&plan) {}
+    Buffer* bufs_;
+    const ShardPlan* plan_;
+  };
+
+  /// An empty grid (sequential cores carry one and never use it).
+  ScatterGrid() = default;
+  explicit ScatterGrid(const ShardPlan& plan)
+      : even_(static_cast<std::size_t>(plan.stripe_count()) *
+              plan.shard_count()) {}
+
+  /// Sizes the odd set before a block that can overlap rounds.
+  void prepare(std::uint64_t rounds, std::uint32_t width) {
+    if (rounds > 1 && width > 1 && odd_.empty()) odd_.resize(even_.size());
+  }
+
+  /// The set block round i throws into and commits from.
+  [[nodiscard]] Set set(std::uint64_t i, const ShardPlan& plan) {
+    return Set((i & 1) == 0 || odd_.empty() ? even_.data() : odd_.data(),
+               plan);
+  }
+
+  /// True when every buffer of both sets is empty (round boundary).
+  [[nodiscard]] bool drained() const noexcept {
+    const auto empty = [](const Buffer& buf) { return buf.empty(); };
+    return std::all_of(even_.begin(), even_.end(), empty) &&
+           std::all_of(odd_.begin(), odd_.end(), empty);
+  }
+
+  /// Bytes of buffer capacity held by both sets.
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    std::size_t words = 0;
+    for (const Buffer& buf : even_) words += buf.capacity();
+    for (const Buffer& buf : odd_) words += buf.capacity();
+    return words * sizeof(Word);
+  }
+
+ private:
+  std::vector<Buffer> even_;
+  std::vector<Buffer> odd_;
+};
 
 namespace detail {
 
@@ -68,18 +180,25 @@ struct alignas(64) EpochCell {
 
 }  // namespace detail
 
-/// Runs `rounds` rounds of (throw_fn, [choose_fn,] commit_fn) over
-/// stripes [0, stripe_count): on a resident team of `width` workers
-/// (width <= stripe_count; callers clamp) when width >= 2 and the
-/// executor accepts the team, otherwise inline at width 1.  Phase
-/// callables receive (stripe, round_index).  The first exception thrown
-/// by a phase body aborts the remaining rounds cooperatively and is
-/// rethrown here, leaving kernel state partially advanced.
-template <typename ThrowFn, typename ChooseFn, typename CommitFn>
-void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
-                  std::uint32_t width, std::uint64_t rounds, bool has_choose,
-                  ThrowFn&& throw_fn, ChooseFn&& choose_fn,
-                  CommitFn&& commit_fn) {
+/// Runs `rounds` rounds of (throw_fn, [choose_fn,] commit_fn) over the
+/// stripes of exec's plan: on a resident team of
+/// width = min(stripe_count, team_width()) workers when width >= 2 and
+/// the executor accepts the team, otherwise inline at width 1.  Phase
+/// callables receive (stripe, round_index, set), `set` being the
+/// parity-selected ScatterGrid<Word>::Set of that round.  The first
+/// exception thrown by a phase body aborts the remaining rounds
+/// cooperatively and is rethrown here, leaving kernel state partially
+/// advanced.
+template <typename Word, typename ThrowFn, typename ChooseFn,
+          typename CommitFn>
+void run_pipeline(ScatterGrid<Word>& grid, ShardedExecution& exec,
+                  std::uint64_t rounds, bool has_choose, ThrowFn&& throw_fn,
+                  ChooseFn&& choose_fn, CommitFn&& commit_fn) {
+  const ShardPlan& plan = exec.plan();
+  const std::uint32_t stripe_count = plan.stripe_count();
+  const std::uint32_t width =
+      std::min(stripe_count, exec.stripes().team_width());
+  grid.prepare(rounds, width);
   std::vector<detail::EpochCell> throw_done(width);
   std::vector<detail::EpochCell> choose_done(has_choose ? width : 0);
   std::vector<detail::EpochCell> commit_done(width);
@@ -101,7 +220,7 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
   const auto wait_all = [&abort](std::vector<detail::EpochCell>& cells,
                                  std::uint64_t target) -> bool {
     constexpr std::uint32_t kSpinsBeforeSleep = 256;
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
+    const obs::ScopedPhase span(obs::Phase::kEpochWait);
     bool ok = true;
     std::uint32_t spins = 0;
     for (detail::EpochCell& cell : cells) {
@@ -118,11 +237,6 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
       }
       if (!ok) break;
     }
-    if (t0 != 0) {
-      const std::uint64_t t1 = obs::now_ns();
-      obs::add_phase_ns(obs::Phase::kEpochWait, t1 - t0);
-      obs::record_span("epoch_wait", t0, t1);
-    }
     return ok;
   };
 
@@ -133,6 +247,7 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
     try {
       for (std::uint64_t i = 0; i < rounds; ++i) {
         if (abort.load(std::memory_order_acquire)) return;
+        const typename ScatterGrid<Word>::Set set = grid.set(i, plan);
 
         // Overlap telemetry: if any peer is still committing round i-1
         // when this worker starts throwing round i, the whole throw
@@ -149,7 +264,7 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
           }
         }
         for (std::uint32_t g = w; g < stripe_count; g += team) {
-          throw_fn(g, i);
+          throw_fn(g, i, set);
         }
         if (o0 != 0) {
           obs::add_phase_ns(obs::Phase::kOverlap, obs::now_ns() - o0);
@@ -162,14 +277,14 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
           // needs all throws of round i (the wait above) and must fully
           // precede any commit of round i (the wait below).
           for (std::uint32_t g = w; g < stripe_count; g += team) {
-            choose_fn(g, i);
+            choose_fn(g, i, set);
           }
           choose_done[w].value.store(i + 1, std::memory_order_release);
           if (waits && !wait_all(choose_done, i + 1)) return;
         }
 
         for (std::uint32_t g = w; g < stripe_count; g += team) {
-          commit_fn(g, i);
+          commit_fn(g, i, set);
         }
         commit_done[w].value.store(i + 1, std::memory_order_release);
       }
@@ -184,7 +299,8 @@ void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
 
   const bool team_ran =
       width >= 2 &&
-      stripes.run_team(width, [&](std::uint32_t w) { worker(w, width); });
+      exec.stripes().run_team(width,
+                              [&](std::uint32_t w) { worker(w, width); });
   if (!team_ran) worker(0, 1);
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -9,11 +9,12 @@
 //    64-byte cache line), so two workers never write the same line when
 //    each owns whole shards;
 //  * the stripe count is fixed by the plan, NOT by the thread count.
-//    Work is distributed stripe-by-stripe via the pool's dynamic
-//    scheduler, so any number of threads drains the same stripe list --
-//    and because every per-stripe output is either commutative (load
-//    sums) or canonically ordered (arrivals sorted by releasing bin),
-//    the result is bit-identical for every thread count and shard size.
+//    The round driver (pipeline.hpp) assigns stripes statically to the
+//    workers of its team -- stripe g runs on worker g % width -- so any
+//    number of threads works through the same stripe list, and because
+//    every per-stripe output is either commutative (load sums) or
+//    canonically ordered (arrivals sorted by releasing bin), the result
+//    is bit-identical for every thread count and shard size.
 #pragma once
 
 #include <algorithm>
@@ -28,9 +29,10 @@ namespace rbb::kernel {
 /// a per-core L2 while amortizing per-shard buffer bookkeeping.
 inline constexpr std::uint32_t kDefaultShardSize = 16384;
 
-/// Upper bound on stripes (pool tasks per phase).  Small enough that
-/// per-stripe accumulators stay cheap, large enough to load-balance any
-/// realistic worker count with dynamic scheduling.
+/// Upper bound on stripes (the units a team worker runs per phase).
+/// Small enough that per-stripe accumulators and the stripe x shard
+/// scatter grid stay cheap, large enough that the static g % width
+/// assignment balances any realistic worker count.
 inline constexpr std::uint32_t kMaxStripes = 32;
 
 /// The partition of [0, n) into shards and stripes.

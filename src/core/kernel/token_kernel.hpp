@@ -148,10 +148,8 @@ class TokenProcessCore {
       cover_round_.assign(start_bin.size(), kNotCovered);
     }
     if constexpr (kShardedExec) {
-      const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
-      acc_.resize(plan.stripe_count());
+      grid_ = Grid(exec_.plan());
+      acc_.resize(exec_.plan().stripe_count());
     }
     rebuild_queues(start_bin);
   }
@@ -309,16 +307,8 @@ class TokenProcessCore {
         arrival_round_.capacity() * sizeof(std::uint64_t) +
         seq_slots_.capacity() * sizeof(bin_index_t) +
         seq_tokens_.capacity() * sizeof(std::uint32_t) +
-        seq_dests_.capacity() * sizeof(bin_index_t);
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        bytes += buf.capacity() * sizeof(Arrival);
-      }
-      for (const auto& buf : buffers_alt_) {
-        bytes += buf.capacity() * sizeof(Arrival);
-      }
-      bytes += acc_.capacity() * sizeof(StripeAcc);
-    }
+        seq_dests_.capacity() * sizeof(bin_index_t) +
+        grid_.capacity_bytes() + acc_.capacity() * sizeof(StripeAcc);
     return bytes;
   }
 
@@ -455,19 +445,8 @@ class TokenProcessCore {
     if (!stats_dirty_ && (max != max_load_ || zeros != empty_)) {
       throw std::logic_error("TokenProcessCore: round stats out of sync");
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "TokenProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "TokenProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!grid_.drained()) {
+      throw std::logic_error("TokenProcessCore: scatter buffer not drained");
     }
   }
 
@@ -476,6 +455,7 @@ class TokenProcessCore {
     bin_index_t dest;
     std::uint32_t token;
   };
+  using Grid = ScatterGrid<Arrival>;
 
   struct alignas(64) StripeAcc {
     load_t max = 0;
@@ -593,20 +573,18 @@ class TokenProcessCore {
   }
 
   /// Phase 1 (throw) for one stripe of round r: releases the stripe's
-  /// queue heads in ascending bin order into its rows of `bufs` (the
-  /// parity-selected buffer base), so every buffer is filled sorted by
-  /// releasing bin.  A token sits in exactly one queue and a stripe
-  /// pops only its own bins' lists, so the store and progress_ writes
-  /// are stripe-exclusive.
+  /// queue heads in ascending bin order through its `row` of the
+  /// round's scatter set, so every buffer is filled sorted by releasing
+  /// bin.  A token sits in exactly one queue and a stripe pops only its
+  /// own bins' lists, so the store and progress_ writes are
+  /// stripe-exclusive.
   void throw_stripe(std::uint32_t g, std::uint64_t r,
-                    std::vector<Arrival>* bufs)
+                    typename Grid::Set::Row row)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kThrow);
     const std::uint32_t n = bins_;
     const ShardPlan& plan = exec_.plan();
-    std::vector<Arrival>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     // Releasing bins and their tokens bank into stack chunks; each
@@ -621,8 +599,7 @@ class TokenProcessCore {
       obs::add(obs::Counter::kChunkFlushes);
       stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
       for (std::uint32_t i = 0; i < pending; ++i) {
-        const bin_index_t dest = dest_buf[i];
-        row[plan.shard_of(dest)].push_back(Arrival{dest, token_buf[i]});
+        row.push(dest_buf[i], Arrival{dest_buf[i], token_buf[i]});
       }
       pending = 0;
     };
@@ -638,29 +615,26 @@ class TokenProcessCore {
     if (pending > 0) flush();
   }
 
-  /// Phase 2 (commit) for one stripe: drains `bufs` buffers addressed
-  /// to its shards in ascending source-stripe order so every bin
-  /// enqueues its arrivals sorted by releasing bin -- the canonical
+  /// Phase 2 (commit) for one stripe: drains the round's `set` for its
+  /// shards in ascending source-stripe order so every bin enqueues its
+  /// arrivals sorted by releasing bin -- the canonical
   /// order the sequential sibling realizes by construction.  A token
   /// arrives in exactly one buffer and a stripe pushes only into its
   /// own shards' lists, so the store and visited_ writes are
   /// stripe-exclusive.  Only the block's `last` round rescans the
   /// shards for max load and empty bins (read after the block only).
   void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<Arrival>* bufs, bool last)
+                     const typename Grid::Set& set, bool last)
     requires kShardedExec
   {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
     StripeAcc& acc = acc_[g];
     acc.max = 0;
     acc.zeros = 0;
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < plan.stripe_count(); ++src) {
-        std::vector<Arrival>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
+      set.drain(s, [&](const std::vector<Arrival>& buf) {
         const std::size_t arrivals = buf.size();
         for (std::size_t i = 0; i < arrivals; ++i) {
           if (i + kPrefetchAhead < arrivals) {
@@ -674,10 +648,9 @@ class TokenProcessCore {
             ++acc.cum_newly_covered;
           }
         }
-        buf.clear();
-      }
+      });
       if (!last) continue;
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
+      const obs::ScopedPhase rescan_span(obs::Phase::kRescan);
       for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
         const auto load = static_cast<load_t>(store_.count(u));
         if (load == 0) {
@@ -686,41 +659,28 @@ class TokenProcessCore {
           acc.max = load;
         }
       }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
-      }
     }
   }
 
   /// Runs a block of `rounds` >= 1 rounds on the round driver
-  /// (pipeline.hpp), buffers alternating by round parity.  The
-  /// token-store happens-before chain is the epoch protocol: a pop
-  /// (throw, own bins) is ordered before the committer's push of the
-  /// same token by the released/acquired throw_done epoch.
+  /// (pipeline.hpp).  The token-store happens-before chain is the epoch
+  /// protocol: a pop (throw, own bins) is ordered before the
+  /// committer's push of the same token by the released/acquired
+  /// throw_done epoch.
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint32_t stripes = exec_.plan().stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (rounds > 1 && width > 1 && buffers_alt_.empty()) {
-      buffers_alt_.resize(buffers_.size());
-    }
     for (StripeAcc& acc : acc_) acc.cum_newly_covered = 0;
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 || buffers_alt_.empty() ? buffers_.data()
-                                                  : buffers_alt_.data();
-    };
+    using Set = typename Grid::Set;
     run_pipeline(
-        exec_.stripes(), stripes, width, rounds, /*has_choose=*/false,
-        [&](std::uint32_t g, std::uint64_t i) {
-          throw_stripe(g, r0 + i, bufs(i));
+        grid_, exec_, rounds, /*has_choose=*/false,
+        [&](std::uint32_t g, std::uint64_t i, const Set& set) {
+          throw_stripe(g, r0 + i, set.row(g));
         },
-        [](std::uint32_t, std::uint64_t) {},
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i), i + 1 == rounds);
+        [](std::uint32_t, std::uint64_t, const Set&) {},
+        [&](std::uint32_t g, std::uint64_t i, const Set& set) {
+          commit_stripe(g, r0 + i, set, i + 1 == rounds);
         });
 
     // Fixed-order reduction over stripes (max/zeros from the last
@@ -762,7 +722,8 @@ class TokenProcessCore {
   }
 
   /// Pays the O(n) stats pass only when a query needs it (sequential
-  /// path; the sharded commit keeps the values fresh for free).
+  /// path; a sharded block refreshes them once, in its last round's
+  /// commit rescan).
   void refresh_stats() const {
     if (stats_dirty_) rescan_stats();
   }
@@ -805,12 +766,9 @@ class TokenProcessCore {
   std::vector<std::uint32_t> seq_tokens_;
   std::vector<bin_index_t> seq_dests_;
 
-  /// buffers_[stripe * shard_count + target_shard], ascending releasing
-  /// bin within each buffer.  Sharded only.  buffers_alt_ is the
-  /// odd-parity twin (run_sharded), sized lazily on the first block of
-  /// >= 2 rounds on a team of >= 2 workers.
-  std::vector<std::vector<Arrival>> buffers_;
-  std::vector<std::vector<Arrival>> buffers_alt_;
+  /// The round's moves by (source stripe, target shard), ascending
+  /// releasing bin within each buffer.  Sharded only.
+  Grid grid_;
   std::vector<StripeAcc> acc_;
 };
 

@@ -18,7 +18,7 @@
 //   markov/   dense_matrix, state_space, rbb_chain, zchain_exact
 //   selfstab/ israeli_jalfon, certifier
 //   analysis/ experiments
-//   runner/   params, result, registry, docgen, legacy, runner
+//   runner/   params, result, registry, docgen, runner
 #pragma once
 
 #include "analysis/experiments.hpp"
@@ -47,7 +47,6 @@
 #include "par/sharded_token_process.hpp"
 #include "par/sharded_variants.hpp"
 #include "runner/docgen.hpp"
-#include "runner/legacy.hpp"
 #include "runner/params.hpp"
 #include "runner/registry.hpp"
 #include "runner/result.hpp"

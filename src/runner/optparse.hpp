@@ -1,6 +1,6 @@
-// Shared "--name=value" / "--name value" option splitting, used by both
-// the `rbb` CLI (runner.cpp) and the back-compat bench mains
-// (legacy.cpp) so the two surfaces cannot drift in syntax.
+// Shared "--name=value" / "--name value" option splitting, used by the
+// `rbb` CLI's run and sweep frontends (runner.cpp) so the two cannot
+// drift in syntax.
 #pragma once
 
 #include <string>

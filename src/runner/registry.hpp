@@ -9,7 +9,6 @@
 //
 //   rbb list / describe / run / sweep   (runner/runner.cpp)
 //   the generated docs/experiments.md   (runner/docgen.cpp)
-//   the back-compat bench/exp_* mains   (runner/legacy.cpp)
 //   the registry completeness test      (tests/runner/)
 //
 // so the catalog, the CLI surface, and the code can never drift apart.
@@ -172,7 +171,7 @@ struct CompletedRun {
 
 /// Runs `experiment` with `values` at `scale` under a wall-time clock
 /// and assembles the metadata -- the one execution path shared by
-/// `rbb run`, `rbb sweep`, and the back-compat bench mains.  Propagates
+/// `rbb run` and `rbb sweep`.  Propagates
 /// whatever the run function throws (callers own the error boundary).
 [[nodiscard]] CompletedRun run_experiment(const Experiment& experiment,
                                           const ParamValues& values,

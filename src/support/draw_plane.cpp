@@ -1,13 +1,14 @@
 // Batched Philox draw-plane kernels and their runtime dispatch.
 //
-// Three block generators produce identical words (pinned by
+// Two block generators produce identical words (pinned by
 // tests/support/draw_plane_test.cpp):
 //
-//   philox_one     -- one block through the hoisted key schedule; tail
-//                     lanes and the reference for the batches,
-//   philox_batch4  -- four independent blocks interleaved in scalar
-//                     code, so the 10-round multiply latency chains
-//                     overlap in the out-of-order core,
+//   philox_one     -- one block through the hoisted key schedule: the
+//                     portable path loops it per slot, the AVX2 path
+//                     uses it for tail lanes.  A plain loop lets the
+//                     compiler overlap consecutive blocks' multiply
+//                     chains on its own; hand-interleaving four lanes
+//                     measured about half as fast,
 //   philox8_avx2   -- eight blocks in struct-of-arrays __m256i lanes;
 //                     each round multiplies the even and odd 32-bit
 //                     lanes with two mul_epu32 halves and re-blends the
@@ -76,55 +77,13 @@ inline void philox_one(const PhiloxKeySchedule& ks, std::uint32_t c0,
   w1 = x2 | (static_cast<std::uint64_t>(x3) << 32);
 }
 
-/// Four independent blocks, lanes interleaved so their multiply chains
-/// overlap.  c1/c2/c3 are lane-uniform: every consumer either shares
-/// the slot's upper half (gather) or walks a non-wrapping lo range.
-inline void philox_batch4(const PhiloxKeySchedule& ks,
-                          const std::uint32_t c0[4], std::uint32_t c1,
-                          std::uint32_t c2, std::uint32_t c3,
-                          std::uint64_t* w0, std::uint64_t* w1) noexcept {
-  std::uint32_t x0[4], x1[4], x2[4], x3[4];
-  for (int l = 0; l < 4; ++l) {
-    x0[l] = c0[l];
-    x1[l] = c1;
-    x2[l] = c2;
-    x3[l] = c3;
-  }
-  for (int r = 0; r < kPhiloxRounds; ++r) {
-    const std::uint32_t k0 = ks[r][0];
-    const std::uint32_t k1 = ks[r][1];
-    for (int l = 0; l < 4; ++l) {
-      const std::uint64_t p0 =
-          static_cast<std::uint64_t>(kPhiloxMul0) * x0[l];
-      const std::uint64_t p1 =
-          static_cast<std::uint64_t>(kPhiloxMul1) * x2[l];
-      const std::uint32_t n0 =
-          static_cast<std::uint32_t>(p1 >> 32) ^ x1[l] ^ k0;
-      const std::uint32_t n2 =
-          static_cast<std::uint32_t>(p0 >> 32) ^ x3[l] ^ k1;
-      x1[l] = static_cast<std::uint32_t>(p1);
-      x3[l] = static_cast<std::uint32_t>(p0);
-      x0[l] = n0;
-      x2[l] = n2;
-    }
-  }
-  for (int l = 0; l < 4; ++l) {
-    w0[l] = x0[l] | (static_cast<std::uint64_t>(x1[l]) << 32);
-    w1[l] = x2[l] | (static_cast<std::uint64_t>(x3[l]) << 32);
-  }
-}
-
 /// Words of `count` (<= kBatch) gathered slots, portable path.
 void words_gather_portable(const PhiloxKeySchedule& ks,
                            const std::uint32_t* slot_lo, std::uint32_t slot_hi,
                            std::uint32_t c2, std::uint32_t c3,
                            std::size_t count, std::uint64_t* w0,
                            std::uint64_t* w1) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    philox_batch4(ks, slot_lo + i, slot_hi, c2, c3, w0 + i, w1 + i);
-  }
-  for (; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     philox_one(ks, slot_lo[i], slot_hi, c2, c3, w0[i], w1[i]);
   }
 }
@@ -135,13 +94,7 @@ void words_range_portable(const PhiloxKeySchedule& ks, std::uint32_t lo_base,
                           std::uint32_t c1, std::uint32_t c2, std::uint32_t c3,
                           std::size_t count, std::uint64_t* w0,
                           std::uint64_t* w1) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::uint32_t base = lo_base + static_cast<std::uint32_t>(i);
-    const std::uint32_t c0[4] = {base, base + 1, base + 2, base + 3};
-    philox_batch4(ks, c0, c1, c2, c3, w0 + i, w1 + i);
-  }
-  for (; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     philox_one(ks, lo_base + static_cast<std::uint32_t>(i), c1, c2, c3,
                w0[i], w1[i]);
   }

@@ -14,10 +14,11 @@
 //
 //   * the per-round key schedule is hoisted once per plane (the scalar
 //     path re-derives it per block),
-//   * blocks are generated 4 lanes at a time in portable scalar code
-//     (independent dependency chains the core can overlap), or 8 lanes
-//     at a time with AVX2 -- two 4-lane mul_epu32 halves interleaved
-//     per Philox round -- selected by runtime dispatch,
+//   * blocks are generated by a plain per-slot loop in portable scalar
+//     code (consecutive blocks are independent, so the out-of-order
+//     core overlaps their multiply chains), or 8 lanes at a time with
+//     AVX2 -- two 4-lane mul_epu32 halves interleaved per Philox round
+//     -- selected by runtime dispatch,
 //   * the Lemire bounded reduction is batched: the rejection threshold
 //     is hoisted per plane, every lane commits its multiply-shift
 //     result branch-free, and the (astronomically rare, < 2^-32 per
@@ -45,7 +46,7 @@ namespace rbb {
 
 /// The instruction sets a plane can draw with.
 enum class PlaneIsa {
-  kPortable,  // 4-lane scalar batching; every target
+  kPortable,  // scalar per-slot loop; every target
   kAvx2,      // 8-lane AVX2 batching; x86-64 with AVX2 only
 };
 

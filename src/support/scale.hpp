@@ -1,8 +1,8 @@
 // Benchmark scale selection.
 //
-// The experiment benches honor the RBB_BENCH_SCALE environment variable so
-// the default `for b in build/bench/*; do $b; done` loop finishes in
-// minutes while still exercising every experiment:
+// `rbb run` takes its default --scale from the RBB_BENCH_SCALE
+// environment variable, so a loop over every experiment finishes in
+// minutes at smoke scale while still exercising each one:
 //   smoke   -- minimal sizes, seconds per bench (CI sanity),
 //   default -- the sizes of the experiment map (DESIGN.md Sect. 4),
 //   paper   -- full sweeps matching the asymptotic regime of the theorems,
@@ -43,9 +43,5 @@ template <typename T>
   return scale == BenchScale::kMega ? mega
                                     : by_scale(scale, smoke, dflt, paper);
 }
-
-/// Directory for CSV mirrors of the experiment tables (RBB_CSV_DIR), empty
-/// if unset.
-[[nodiscard]] std::string csv_dir();
 
 }  // namespace rbb

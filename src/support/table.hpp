@@ -1,9 +1,8 @@
 // Markdown table / CSV reporting for the experiment harness.
 //
-// Every bench in bench/exp_*.cpp prints one table per experiment
-// (DESIGN.md Sect. 4 maps them) in GitHub-markdown format, so the
-// harness output can be pasted into the docs verbatim.  An optional CSV
-// mirror (RBB_CSV_DIR) supports downstream plotting.
+// Every experiment fills one or more tables (DESIGN.md Sect. 4 maps
+// them), rendered in GitHub-markdown format so the harness output can
+// be pasted into the docs verbatim, or as CSV for downstream plotting.
 #pragma once
 
 #include <cstdint>

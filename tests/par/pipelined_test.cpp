@@ -437,5 +437,57 @@ TEST(BlockEndStats, MixedIncludingWeightedLoadAndUtilization) {
       });
 }
 
+// --- lazy second buffer set ------------------------------------------------
+//
+// The odd-parity scatter buffer set is allocated only for a block of
+// >= 2 rounds on a team of >= 2 workers; step(), run(1), threads = 1
+// and a restored process keep the single set.  resident_state_bytes()
+// counts buffer capacity, so identically seeded processes pin the rule:
+// equal where the second set must not exist, strictly larger where it
+// must.
+
+/// Expects the lazy-second-set rule for `make(threads)`, a factory of
+/// identically seeded processes with resident_state_bytes().
+template <typename Make>
+void expect_lazy_second_set(Make make) {
+  constexpr std::uint64_t kSteps = 4;
+  auto stepped_t1 = make(1u);
+  auto run_t1 = make(1u);
+  auto stepped_t2 = make(2u);
+  auto run_t2 = make(2u);
+  for (std::uint64_t r = 0; r < kSteps; ++r) {
+    stepped_t1.step();
+    stepped_t2.step();
+  }
+  run_t1.run(kSteps);
+  run_t2.run(kSteps);
+  EXPECT_EQ(run_t1.resident_state_bytes(), stepped_t1.resident_state_bytes());
+  EXPECT_EQ(stepped_t2.resident_state_bytes(),
+            stepped_t1.resident_state_bytes());
+  EXPECT_GT(run_t2.resident_state_bytes(), stepped_t2.resident_state_bytes());
+}
+
+TEST(PipelinedBuffers, LoadAllocatesSecondSetOnlyForTeamBlocks) {
+  expect_lazy_second_set([](unsigned threads) {
+    return ShardedRepeatedBallsProcess(
+        start_config(), kSeed, {.threads = threads, .shard_size = 256});
+  });
+}
+
+TEST(PipelinedBuffers, TokenAllocatesSecondSetOnlyForTeamBlocks) {
+  expect_lazy_second_set([](unsigned threads) {
+    return ShardedTokenProcess(kN, identity_placement(kN), kSeed,
+                               {.threads = threads, .shard_size = 256});
+  });
+}
+
+TEST(PipelinedBuffers, MixedAllocatesSecondSetOnlyForTeamBlocks) {
+  const MixedSpec spec = make_mixed_spec(1024, 8.0, "zipf", "capped");
+  expect_lazy_second_set([&spec](unsigned threads) {
+    return ShardedMixedProcess(spec, kSeed,
+                               {.threads = threads, .shard_size = 256});
+  });
+}
+
 }  // namespace
 }  // namespace rbb::par
