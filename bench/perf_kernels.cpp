@@ -5,9 +5,10 @@
 //   D3 -- the incremental max/empty bookkeeping vs a full rescan,
 //   D4 -- xoshiro256++ vs std::mt19937_64 raw throughput,
 //   D6 -- counter-RNG draw planes: scalar per-call Philox vs the
-//         batched portable path vs the AVX2 path, and per-call vs
-//         batched Lemire bounded reduction (the plane win measured in
-//         isolation, not only end-to-end through sharded_scaling),
+//         batched portable path vs the AVX2 and AVX-512 paths, and
+//         per-call vs batched Lemire bounded reduction (the plane win
+//         measured in isolation, not only end-to-end through
+//         sharded_scaling),
 //   D7 -- the checkpoint CRC32 (slicing-by-16) in bytes/second, the
 //         per-layer number behind the checkpoint encode/decode cost,
 // plus the absolute rounds/second of every process in the repository.
@@ -222,6 +223,11 @@ void BM_DrawPlaneRangeAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_DrawPlaneRangeAvx2);
 
+void BM_DrawPlaneRangeAvx512(benchmark::State& state) {
+  plane_range_bench(state, PlaneIsa::kAvx512);
+}
+BENCHMARK(BM_DrawPlaneRangeAvx512);
+
 /// The gathered-slot shape the relaunch/d-choices paths use: slot list
 /// = a shuffled sparse subset of bins.
 void plane_gather_bench(benchmark::State& state, PlaneIsa isa) {
@@ -257,6 +263,11 @@ void BM_DrawPlaneGatherAvx2(benchmark::State& state) {
   plane_gather_bench(state, PlaneIsa::kAvx2);
 }
 BENCHMARK(BM_DrawPlaneGatherAvx2);
+
+void BM_DrawPlaneGatherAvx512(benchmark::State& state) {
+  plane_gather_bench(state, PlaneIsa::kAvx512);
+}
+BENCHMARK(BM_DrawPlaneGatherAvx512);
 
 // Per-call vs batched Lemire over the same pre-generated words: what
 // the hoisted threshold + deferred retry list buy on top of block

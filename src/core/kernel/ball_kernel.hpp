@@ -637,7 +637,11 @@ class BallProcessCore {
       // The walk banks releasing bins into a stack chunk; each flush
       // materializes the chunk's destinations with one gathered draw
       // plane and scatters them.  Ascending-u push order per buffer
-      // is preserved, so the commit order is unchanged.
+      // is preserved, so the commit order is unchanged.  The walk is
+      // branch-free: every bin is written to the next chunk slot and
+      // only a releasing bin advances it, because a constant share of
+      // the bins is empty in the legitimate regime and the test would
+      // mispredict at close to a coin flip.
       bin_index_t slot_buf[kDrawChunk];
       bin_index_t dest_buf[kDrawChunk];
       std::uint32_t pending = 0;
@@ -649,16 +653,18 @@ class BallProcessCore {
         }
         pending = 0;
       };
+      std::uint32_t departures = 0;
       for (bin_index_t u = begin; u < end; ++u) {
         load_t& load = loads_[u];
-        if (load > 0) {
-          --load;
-          ++acc.departures;
-          slot_buf[pending++] = u;
-          if (pending == kDrawChunk) flush();
-        }
+        const auto nz = static_cast<std::uint32_t>(load != 0);
+        load -= nz;
+        slot_buf[pending] = u;
+        pending += nz;
+        departures += nz;
+        if (pending == kDrawChunk) flush();
       }
       if (pending > 0) flush();
+      acc.departures = departures;
     } else {
       if constexpr (kChoose) {
         releasers_[g].clear();

@@ -38,7 +38,7 @@ namespace rbb::obs {
 /// The monotonic counter catalogue.  Names (to_string) are the JSON
 /// keys of the result schema's `metrics.counters` block -- append only.
 enum class Counter : unsigned {
-  kLemireRetries = 0,     // deferred second-word retries in lemire_batch
+  kLemireRetries = 0,     // second-word Lemire retries (every plane path)
   kPlaneBatchesPortable,  // <= 64-slot draw-plane batches, portable path
   kPlaneBatchesAvx2,      // <= 64-slot draw-plane batches, AVX2 path
   kPlaneDraws,            // bounded draws materialized by the plane
@@ -52,6 +52,7 @@ enum class Counter : unsigned {
   kCheckpointBytes,       // bytes of checkpoint payloads durably written
   kCheckpointFailures,    // checkpoint writes abandoned after all retries
   kCheckpointRetries,     // checkpoint write attempts retried after an error
+  kPlaneBatchesAvx512,    // <= 64-slot draw-plane batches, AVX-512 path
   kCount,
 };
 
@@ -98,6 +99,7 @@ inline constexpr std::size_t kPhaseCount =
     case Counter::kCheckpointBytes: return "checkpoint_bytes";
     case Counter::kCheckpointFailures: return "checkpoint_failures";
     case Counter::kCheckpointRetries: return "checkpoint_retries";
+    case Counter::kPlaneBatchesAvx512: return "plane_batches_avx512";
     case Counter::kCount: break;
   }
   return "?";

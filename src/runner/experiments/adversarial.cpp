@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_adversarial(Registry& registry) {
-  Experiment e;
-  e.name = "adversarial";
-  e.claim = "E9";
+  Experiment e{.name = "adversarial", .claim = "E9"};
   e.title =
       "cover time under periodic adversarial reassignment (Sect. 4.1)";
   e.description =

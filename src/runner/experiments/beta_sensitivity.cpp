@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_beta_sensitivity(Registry& registry) {
-  Experiment e;
-  e.name = "beta_sensitivity";
-  e.claim = "E13";
+  Experiment e{.name = "beta_sensitivity", .claim = "E13"};
   e.title =
       "the legitimacy constant: critical beta ~ 1.5-2, default 4 has "
       "margin";

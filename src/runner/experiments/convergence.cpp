@@ -10,9 +10,7 @@
 namespace rbb::runner {
 
 void register_convergence(Registry& registry) {
-  Experiment e;
-  e.name = "convergence";
-  e.claim = "E2";
+  Experiment e{.name = "convergence", .claim = "E2"};
   e.title = "convergence time is linear in n (Theorem 1)";
   e.description =
       "For each n and worst-case start (all-in-one, geometric, "

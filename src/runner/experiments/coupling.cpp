@@ -7,9 +7,7 @@
 namespace rbb::runner {
 
 void register_coupling(Registry& registry) {
-  Experiment e;
-  e.name = "coupling";
-  e.claim = "E4";
+  Experiment e{.name = "coupling", .claim = "E4"};
   e.title =
       "Tetris stochastically dominates the original process (Lemma 3)";
   e.description =

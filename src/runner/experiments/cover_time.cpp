@@ -11,9 +11,7 @@
 namespace rbb::runner {
 
 void register_cover_time(Registry& registry) {
-  Experiment e;
-  e.name = "cover_time";
-  e.claim = "E8";
+  Experiment e{.name = "cover_time", .claim = "E8"};
   e.title =
       "parallel cover time is ~log n slower than one walker (Corollary 1)";
   e.description =

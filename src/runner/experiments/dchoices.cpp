@@ -9,9 +9,7 @@
 namespace rbb::runner {
 
 void register_dchoices(Registry& registry) {
-  Experiment e;
-  e.name = "dchoices";
-  e.claim = "E15";
+  Experiment e{.name = "dchoices", .claim = "E15"};
   e.title = "repeated d-choices flattens the maximum load ([36])";
   e.description =
       "Per n and d, the window max load of the repeated d-choices "

@@ -7,9 +7,7 @@
 namespace rbb::runner {
 
 void register_delays(Registry& registry) {
-  Experiment e;
-  e.name = "delays";
-  e.claim = "E19";
+  Experiment e{.name = "delays", .claim = "E19"};
   e.title = "per-release waiting times: O(log n) max under FIFO";
   e.description =
       "Per n and queue policy, the pooled waiting-time distribution of "

@@ -12,9 +12,7 @@
 namespace rbb::runner {
 
 void register_empty_bins(Registry& registry) {
-  Experiment e;
-  e.name = "empty_bins";
-  e.claim = "E3";
+  Experiment e{.name = "empty_bins", .claim = "E3"};
   e.title = "empty-bin fraction never drops below 1/4 (Lemmas 1-2)";
   e.description =
       "Per n and start, the minimum and mean empty-bin fraction over the "

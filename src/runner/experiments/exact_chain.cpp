@@ -19,9 +19,7 @@
 namespace rbb::runner {
 
 void register_exact_chain(Registry& registry) {
-  Experiment e;
-  e.name = "exact_chain";
-  e.claim = "E6";
+  Experiment e{.name = "exact_chain", .claim = "E6"};
   e.title =
       "exact Markov-chain analysis of the RBB process (small n)";
   e.description =

@@ -12,9 +12,7 @@
 namespace rbb::runner {
 
 void register_graphs(Registry& registry) {
-  Experiment e;
-  e.name = "graphs";
-  e.claim = "E14";
+  Experiment e{.name = "graphs", .claim = "E14"};
   e.title =
       "window max load on general topologies (Sect. 5 conjecture)";
   e.description =

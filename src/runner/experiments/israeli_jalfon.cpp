@@ -34,9 +34,7 @@ OnlineMoments coalescence_rounds(const Graph* graph, std::uint32_t n,
 }  // namespace
 
 void register_israeli_jalfon(Registry& registry) {
-  Experiment e;
-  e.name = "israeli_jalfon";
-  e.claim = "";
+  Experiment e{.name = "israeli_jalfon"};
   e.title = "coalescence time of lazy Israeli-Jalfon walks";
   e.description =
       "Three tables around the paper's single-token ancestor: (1) "

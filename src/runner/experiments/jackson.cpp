@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_jackson(Registry& registry) {
-  Experiment e;
-  e.name = "jackson";
-  e.claim = "E17";
+  Experiment e{.name = "jackson", .claim = "E17"};
   e.title =
       "sequential product-form relative vs the parallel process";
   e.description =

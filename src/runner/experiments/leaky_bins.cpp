@@ -7,9 +7,7 @@
 namespace rbb::runner {
 
 void register_leaky_bins(Registry& registry) {
-  Experiment e;
-  e.name = "leaky_bins";
-  e.claim = "E16";
+  Experiment e{.name = "leaky_bins", .claim = "E16"};
   e.title =
       "leaky bins: stability below the critical arrival rate ([18])";
   e.description =

@@ -11,9 +11,7 @@
 namespace rbb::runner {
 
 void register_load_profile(Registry& registry) {
-  Experiment e;
-  e.name = "load_profile";
-  e.claim = "E20";
+  Experiment e{.name = "load_profile", .claim = "E20"};
   e.title =
       "occupancy tails: geometric decay across all four processes";
   e.description =

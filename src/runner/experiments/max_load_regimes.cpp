@@ -13,9 +13,7 @@
 namespace rbb::runner {
 
 void register_max_load_regimes(Registry& registry) {
-  Experiment e;
-  e.name = "max_load_regimes";
-  e.claim = "E22";
+  Experiment e{.name = "max_load_regimes", .claim = "E22"};
   e.title = "m = c n regimes: max load tracks m/n + O(log n) (Los & Sauerwald)";
   e.description =
       "Runs the repeated balls-into-bins window with the ball count "

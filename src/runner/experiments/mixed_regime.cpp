@@ -12,9 +12,7 @@
 namespace rbb::runner {
 
 void register_mixed_regime(Registry& registry) {
-  Experiment e;
-  e.name = "mixed_regime";
-  e.claim = "E23";
+  Experiment e{.name = "mixed_regime", .claim = "E23"};
   e.title = "mixed regimes: weighted balls and heterogeneous bins, m = c n";
   e.description =
       "Per n and ball ratio c in {0.5, 1, 2, 8}, runs the mixed-regime "

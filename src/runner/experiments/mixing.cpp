@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_mixing(Registry& registry) {
-  Experiment e;
-  e.name = "mixing";
-  e.claim = "E21";
+  Experiment e{.name = "mixing", .claim = "E21"};
   e.title =
       "tagged-token position mixing under the queueing constraint";
   e.description =

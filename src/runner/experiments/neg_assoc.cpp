@@ -9,9 +9,7 @@
 namespace rbb::runner {
 
 void register_neg_assoc(Registry& registry) {
-  Experiment e;
-  e.name = "neg_assoc";
-  e.claim = "E10";
+  Experiment e{.name = "neg_assoc", .claim = "E10"};
   e.title = "arrivals are positively correlated (Appendix B)";
   e.description =
       "Monte-Carlo estimates of the Appendix-B counterexample to "

@@ -11,9 +11,7 @@
 namespace rbb::runner {
 
 void register_oneshot_vs_repeated(Registry& registry) {
-  Experiment e;
-  e.name = "oneshot_vs_repeated";
-  e.claim = "E12";
+  Experiment e{.name = "oneshot_vs_repeated", .claim = "E12"};
   e.title =
       "repeated-process max load sits between the one-shot floor and "
       "O(log n)";

@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_overload(Registry& registry) {
-  Experiment e;
-  e.name = "overload";
-  e.claim = "";
+  Experiment e{.name = "overload"};
   e.title = "m > n: loads grow additively with m/n (open question)";
   e.description =
       "Per m/n ratio, the window max load, its ratio to (m/n + log2 n) "

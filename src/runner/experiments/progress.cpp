@@ -8,9 +8,7 @@
 namespace rbb::runner {
 
 void register_progress(Registry& registry) {
-  Experiment e;
-  e.name = "progress";
-  e.claim = "E18";
+  Experiment e{.name = "progress", .claim = "E18"};
   e.title = "every FIFO token advances Omega(t / log n) (Sect. 4)";
   e.description =
       "Per n and queue policy, the minimum per-token progress after T "

@@ -59,9 +59,7 @@ double time_rounds(Process& proc, std::uint64_t rounds) {
 }  // namespace
 
 void register_sharded_scaling(Registry& registry) {
-  Experiment e;
-  e.name = "sharded_scaling";
-  e.claim = "";
+  Experiment e{.name = "sharded_scaling"};
   e.title =
       "sharded round kernels: rounds/sec and ns/ball vs n x variant x "
       "threads";

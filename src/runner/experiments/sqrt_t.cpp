@@ -10,9 +10,7 @@
 namespace rbb::runner {
 
 void register_sqrt_t(Registry& registry) {
-  Experiment e;
-  e.name = "sqrt_t";
-  e.claim = "E11";
+  Experiment e{.name = "sqrt_t", .claim = "E11"};
   e.title = "max load flat in t: O(log n) beats the old O(sqrt t)";
   e.description =
       "The running maximum load max_{s<=t} M(s) at geometric round "

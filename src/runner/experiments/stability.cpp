@@ -12,9 +12,7 @@
 namespace rbb::runner {
 
 void register_stability(Registry& registry) {
-  Experiment e;
-  e.name = "stability";
-  e.claim = "E1";
+  Experiment e{.name = "stability", .claim = "E1"};
   e.title = "window max load stays O(log n) (Theorem 1)";
   e.description =
       "From the one-per-bin legitimate start, runs the repeated "

@@ -6,9 +6,7 @@
 namespace rbb::runner {
 
 void register_tetris_drain(Registry& registry) {
-  Experiment e;
-  e.name = "tetris_drain";
-  e.claim = "E5";
+  Experiment e{.name = "tetris_drain", .claim = "E5"};
   e.title = "every Tetris bin empties within 5n rounds (Lemma 4)";
   e.description =
       "Per n and adversarial start (all-in-one, geometric, half-loaded), "

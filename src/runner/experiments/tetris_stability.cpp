@@ -44,9 +44,7 @@ TetrisWindow measure_window(Process& proc, std::uint64_t window,
 }  // namespace
 
 void register_tetris_stability(Registry& registry) {
-  Experiment e;
-  e.name = "tetris_stability";
-  e.claim = "E7";
+  Experiment e{.name = "tetris_stability", .claim = "E7"};
   e.title = "Tetris window max load is O(log n) (Lemma 6)";
   e.description =
       "Mirror of the E1 stability window for the auxiliary Tetris "

@@ -14,8 +14,7 @@
 namespace rbb::runner {
 
 void register_threshold_allocation(Registry& registry) {
-  Experiment e;
-  e.name = "threshold_allocation";
+  Experiment e{.name = "threshold_allocation"};
   e.title = "threshold allocation: probe-until-below-threshold relaunches";
   e.description =
       "Per n and probe budget in {1, 2, 3}, the window max load of the "

@@ -137,9 +137,7 @@ constexpr std::uint64_t kMaxChunk = 1024;
 }  // namespace
 
 void register_trajectory(Registry& registry) {
-  Experiment e;
-  e.name = "trajectory";
-  e.claim = "";
+  Experiment e{.name = "trajectory"};
   e.title = "single checkpointable run: sampled trajectory of one process";
   e.description =
       "Drives ONE process of the chosen --family (load, token, tetris, "

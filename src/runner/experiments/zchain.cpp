@@ -7,9 +7,7 @@
 namespace rbb::runner {
 
 void register_zchain(Registry& registry) {
-  Experiment e;
-  e.name = "zchain";
-  e.claim = "E6";
+  Experiment e{.name = "zchain", .claim = "E6"};
   e.title = "absorption-time tail obeys Lemma 5's e^{-t/144}";
   e.description =
       "Per start k, the empirical absorption tail P(tau > t) of the "

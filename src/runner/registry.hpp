@@ -119,12 +119,16 @@ enum class ProcessFamily {
 /// from the src/par/ types; see registry.cpp).
 [[nodiscard]] bool backend_capable(ProcessFamily family);
 
-/// One registered experiment.
+/// One registered experiment.  Registrations name it in a designated
+/// initializer (`Experiment e{.name = "convergence", .claim = "E1"};`),
+/// which constructs the strings in place: assigning short literals to a
+/// default-constructed Experiment trips GCC 12's -Wmaybe-uninitialized.
+/// Every member has a default initializer, so the rest may be omitted.
 struct Experiment {
-  std::string name;         // CLI name, e.g. "convergence"
-  std::string claim;        // DESIGN.md Sect. 4 E-number, "" for extras
-  std::string title;        // one-line claim summary (list / docs)
-  std::string description;  // prose for describe / docs
+  std::string name{};         // CLI name, e.g. "convergence"
+  std::string claim{};        // DESIGN.md Sect. 4 E-number, "" for extras
+  std::string title{};        // one-line claim summary (list / docs)
+  std::string description{};  // prose for describe / docs
   /// The process family the run function drives.  --backend=sharded is
   /// accepted iff backend_capable(family); run_experiment rejects it
   /// elsewhere.  kNone (the default) never accepts the flag.
@@ -134,8 +138,8 @@ struct Experiment {
   /// run_experiment rejects the checkpoint flags on every other
   /// experiment so they can never be silently ignored.
   bool checkpointable = false;
-  std::vector<ParamSpec> params;  // registry prepends seed/trials/backend/...
-  std::function<ResultSet(const RunContext&)> run;
+  std::vector<ParamSpec> params{};  // registry prepends seed/trials/...
+  std::function<ResultSet(const RunContext&)> run{};
 };
 
 /// Name-keyed experiment collection.  add() validates the declaration

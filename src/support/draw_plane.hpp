@@ -14,23 +14,26 @@
 //
 //   * the per-round key schedule is hoisted once per plane (the scalar
 //     path re-derives it per block),
-//   * blocks are generated by a plain per-slot loop in portable scalar
-//     code (consecutive blocks are independent, so the out-of-order
-//     core overlaps their multiply chains), or 8 lanes at a time with
-//     AVX2 -- two 4-lane mul_epu32 halves interleaved per Philox round
-//     -- selected by runtime dispatch,
-//   * the Lemire bounded reduction is batched: the rejection threshold
-//     is hoisted per plane, every lane commits its multiply-shift
-//     result branch-free, and the (astronomically rare, < 2^-32 per
-//     draw) rejections land on a deferred retry list fixed up from the
-//     stored second words afterwards.
+//   * blocks come from one of three generators, selected by runtime
+//     dispatch in the order AVX-512F, AVX2, portable: 16 lanes per
+//     __m512i set, 8 lanes per __m256i set (two 4-lane mul_epu32 halves
+//     interleaved per Philox round), or a plain per-slot scalar loop
+//     (consecutive blocks are independent, so the out-of-order core
+//     overlaps their multiply chains),
+//   * the Lemire bounded reduction is batched with the rejection
+//     threshold hoisted per plane.  The AVX-512 path reduces in
+//     registers and stores 16 draws at a time, flagging rejections with
+//     a compare mask; the portable and AVX2 paths stage (w0, w1) words
+//     and commit every lane's multiply-shift branch-free.  Either way the
+//     (astronomically rare, < 2^-32 per draw) rejections are fixed up
+//     from their second words afterwards.
 //
 // Bit-identity contract: for every slot, the plane output equals
 // lemire_bounded(words(round, slot), n) of the scalar CounterRng --
 // same (seed, round, slot) -> block mapping, only the evaluation order
 // changes.  tests/support/draw_plane_test.cpp pins this across
-// unaligned ranges, tail lanes, gathered slot lists, and both dispatch
-// branches; every sharded parity suite inherits the pin end to end.
+// unaligned ranges, tail lanes, gathered slot lists, and every dispatch
+// branch; every sharded parity suite inherits the pin end to end.
 //
 // Dispatch control: RBB_DRAW_PLANE_SIMD=0 in the environment forces the
 // portable path (CI runs the parity suites both ways);
@@ -48,11 +51,12 @@ namespace rbb {
 enum class PlaneIsa {
   kPortable,  // scalar per-slot loop; every target
   kAvx2,      // 8-lane AVX2 batching; x86-64 with AVX2 only
+  kAvx512,    // 16-lane AVX-512F, in-register reduction; x86-64 only
 };
 
 /// The ISA the next plane fill will use: force_plane_isa() override if
-/// set, else auto-detection (CPU support, RBB_DRAW_PLANE_SIMD=0 forces
-/// portable).
+/// set, else auto-detection (AVX-512F, then AVX2, then portable;
+/// RBB_DRAW_PLANE_SIMD=0 forces portable).
 [[nodiscard]] PlaneIsa active_plane_isa() noexcept;
 
 /// True when this machine can execute `isa`.
@@ -69,8 +73,10 @@ void reset_plane_isa() noexcept;
 /// Batched Lemire bounded reduction: out[i] = the same value
 /// lemire_bounded(w0[i], w1[i], n) yields, with the threshold hoisted
 /// and rejections deferred to a fix-up pass so the main loop is
-/// branch-free.  Exposed for tests (crafted words force the retry path,
-/// which no feasible number of real draws reaches) and for the
+/// branch-free.  Runs the active ISA's reduction: the AVX-512 plane's
+/// in-register mask-and-fix-up, else the scalar batch the portable and
+/// AVX2 planes share.  Exposed for tests (crafted words force the retry
+/// path, which no feasible number of real draws reaches) and for the
 /// perf_kernels batch-vs-per-call microbench.
 void lemire_bounded_batch(const std::uint64_t* w0, const std::uint64_t* w1,
                           std::size_t count, std::uint32_t n,

@@ -47,10 +47,6 @@ class Table {
   /// Prints the markdown rendering, preceded by `title` as a heading.
   void print(std::ostream& os, const std::string& title) const;
 
-  /// Writes the CSV rendering to `<dir>/<name>.csv` if dir is non-empty,
-  /// creating the file (not the directory).  Returns true on success.
-  bool write_csv(const std::string& dir, const std::string& name) const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

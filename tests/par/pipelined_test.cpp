@@ -134,6 +134,47 @@ TEST(PipelinedParity, LoadBackToBackRunsReuseBothBufferSets) {
   EXPECT_EQ(sharded.round(), 21u);
 }
 
+TEST(PipelinedParity, LoadDrawChunkFlushBoundaries) {
+  // The load-only throw banks releasing bins into kDrawChunk-slot chunks
+  // and flushes a chunk as it fills.  Four stripes of 1024 bins start
+  // with exactly 0, kDrawChunk, 2 kDrawChunk and 1023 releasing bins:
+  // no flush at all, exactly one and two full flushes with no tail, and
+  // three full flushes plus a tail.
+  constexpr std::uint32_t kChunk = kernel::kDrawChunk;
+  constexpr std::uint32_t kStripeBins = 1024;
+  const auto config = [] {
+    LoadConfig q(4 * kStripeBins, 0);
+    for (std::uint32_t i = 0; i < kChunk; ++i) q[kStripeBins + 4 * i + 1] = 1;
+    for (std::uint32_t i = 0; i < 2 * kChunk; ++i) {
+      q[2 * kStripeBins + 2 * i] = 3;
+    }
+    for (std::uint32_t i = 1; i < kStripeBins; ++i) q[3 * kStripeBins + i] = 2;
+    return q;
+  };
+  const ShardedOptions probe{.threads = 1, .shard_size = kStripeBins};
+  ASSERT_EQ(ShardedRepeatedBallsProcess(config(), kSeed, probe)
+                .plan()
+                .stripe_count(),
+            4u);
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    SequentialCounterProcess oracle(config(), kSeed);
+    ShardedRepeatedBallsProcess sharded(
+        config(), kSeed, {.threads = threads, .shard_size = kStripeBins});
+    for (const std::uint64_t k : {1u, 1u, 6u}) {
+      const RoundStats got = sharded.run(k);
+      RoundStats want{};
+      for (std::uint64_t r = 0; r < k; ++r) want = oracle.step();
+      EXPECT_EQ(got.departures, want.departures);
+      EXPECT_EQ(got.max_load, want.max_load);
+      EXPECT_EQ(got.empty_bins, want.empty_bins);
+      EXPECT_EQ(sharded.loads(), oracle.loads());
+      ASSERT_NO_THROW(sharded.check_invariants());
+    }
+    EXPECT_EQ(sharded.round(), 8u);
+  }
+}
+
 // --- hot-shard stragglers ---------------------------------------------------
 
 TEST(PipelinedParity, LoadSurvivesHotShardStraggler) {

@@ -2,13 +2,14 @@
 // be bit-identical to the scalar philox4x32 reference path
 // (CounterRng::index), for every dispatch branch the machine can
 // execute -- unaligned range begins, tail lanes, gathered slot lists,
-// 2^32 lo-word carries, and the deferred Lemire retry path (reachable
-// only through crafted words: a real draw rejects with probability
-// < 2^-32).
+// 2^32 lo-word carries, and the Lemire retry path (crafted words, plus
+// one real rejecting draw found by an offline scan: a draw rejects with
+// probability < 2^-32).
 #include "support/draw_plane.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -18,14 +19,25 @@
 namespace rbb {
 namespace {
 
+/// SCOPED_TRACE label of a dispatch branch.
+const char* isa_name(PlaneIsa isa) {
+  switch (isa) {
+    case PlaneIsa::kPortable: return "isa=portable";
+    case PlaneIsa::kAvx2: return "isa=avx2";
+    case PlaneIsa::kAvx512: return "isa=avx512";
+  }
+  return "isa=?";
+}
+
 /// Runs `fn` once per ISA this machine supports, with the dispatch
 /// pinned to that ISA; always restores auto-detection.  SCOPED_TRACE
 /// labels failures with the branch that produced them.
 template <typename Fn>
 void for_each_isa(Fn&& fn) {
-  for (const PlaneIsa isa : {PlaneIsa::kPortable, PlaneIsa::kAvx2}) {
+  for (const PlaneIsa isa :
+       {PlaneIsa::kPortable, PlaneIsa::kAvx2, PlaneIsa::kAvx512}) {
     if (!plane_isa_supported(isa)) continue;
-    SCOPED_TRACE(isa == PlaneIsa::kPortable ? "isa=portable" : "isa=avx2");
+    SCOPED_TRACE(isa_name(isa));
     force_plane_isa(isa);
     fn();
     reset_plane_isa();
@@ -148,57 +160,107 @@ TEST(DrawPlane, NearMaxBoundMatchesScalar) {
 }
 
 TEST(DrawPlane, BatchedLemireMatchesScalarOnCraftedWords) {
-  // A real draw rejects w0 with probability threshold / 2^64 < 2^-32,
-  // so the deferred retry list is unreachable through the Philox
-  // surface in any feasible test; crafted words drive it directly.
-  // w0 = 0 always lands in the rejection zone (m = 0 < threshold)
-  // whenever threshold > 0, forcing the fix-up pass to take w1.
-  const std::vector<std::uint64_t> w0 = {
+  // Crafted words drive the rejection path on demand (RealRejectingDraw
+  // below pins one real draw that takes it).  w0 = 0 always lands in
+  // the rejection zone (m = 0 < threshold) whenever threshold > 0,
+  // forcing the fix-up to take w1.
+  const std::vector<std::uint64_t> base0 = {
       0,                      // forced retry
       1,                      // rejection zone for most n
       0xFFFFFFFFFFFFFFFFull,  // top of the range, never rejected
       0x0123456789ABCDEFull, 0xFEDCBA9876543210ull,
       0,                      // a second retry in the same batch
       42, 1ull << 63};
-  const std::vector<std::uint64_t> w1 = {
+  const std::vector<std::uint64_t> base1 = {
       0xDEADBEEFDEADBEEFull, 7, 9, 11, 13, 0xCAFEBABECAFEBABEull, 17, 19};
-  for (const std::uint32_t n :
-       {3u, 10u, 1024u, 1000003u, 0xFFFF0001u, 0x80000000u}) {
-    std::vector<std::uint32_t> out(w0.size(), 0);
-    lemire_bounded_batch(w0.data(), w1.data(), w0.size(), n, out.data());
-    for (std::size_t i = 0; i < w0.size(); ++i) {
-      EXPECT_EQ(out[i], lemire_bounded(w0[i], w1[i], n))
-          << "n=" << n << " i=" << i;
-      EXPECT_LT(out[i], n);
-    }
+  // 37 words: the 8-word pattern four times plus a 5-word tail, so
+  // retries land in even and odd lanes, in both halves of a 16-lane
+  // set, and in a masked tail.
+  std::vector<std::uint64_t> w0, w1;
+  for (std::size_t i = 0; i < 37; ++i) {
+    w0.push_back(base0[i % base0.size()]);
+    w1.push_back(base1[i % base1.size()] + i);
   }
-  // Prove the retry actually resolved from w1, not w0: for n = 3 the
-  // threshold is (2^64 - 3) mod 3 = 1, so w0 = 0 rejects and the
-  // result must be the w1 multiply-shift.
-  std::uint32_t single = 99;
-  const std::uint64_t zero = 0, second = 0xDEADBEEFDEADBEEFull;
-  lemire_bounded_batch(&zero, &second, 1, 3, &single);
-  EXPECT_EQ(single,
+  for_each_isa([&] {
+    for (const std::uint32_t n :
+         {3u, 10u, 1024u, 1000003u, 0xFFFF0001u, 0x80000000u}) {
+      for (const std::size_t count : {std::size_t{8}, w0.size()}) {
+        std::vector<std::uint32_t> out(count, 0);
+        lemire_bounded_batch(w0.data(), w1.data(), count, n, out.data());
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(out[i], lemire_bounded(w0[i], w1[i], n))
+              << "n=" << n << " count=" << count << " i=" << i;
+          EXPECT_LT(out[i], n);
+        }
+      }
+    }
+    // Prove the retry actually resolved from w1, not w0: for n = 3 the
+    // threshold is (2^64 - 3) mod 3 = 1, so w0 = 0 rejects and the
+    // result must be the w1 multiply-shift.
+    std::uint32_t single = 99;
+    const std::uint64_t zero = 0, second = 0xDEADBEEFDEADBEEFull;
+    lemire_bounded_batch(&zero, &second, 1, 3, &single);
+    EXPECT_EQ(single,
+              static_cast<std::uint32_t>(
+                  (static_cast<__uint128_t>(second) * 3) >> 64));
+  });
+}
+
+TEST(DrawPlane, RealRejectingDrawMatchesScalar) {
+  // (seed 2026, round 4, slot 812103270, n = 0xFFFF0001) is a real draw
+  // whose first word lands in the rejection zone, found by an offline
+  // scan over slots (a draw rejects with probability about 2^-32 at
+  // this n).  Placed at gather position 21 (an odd lane of the
+  // second 16-lane set) and inside a range fill, it must take the
+  // second-word fix-up on every ISA.
+  const CounterRng rng(2026);
+  const DrawPlane plane(rng);
+  constexpr std::uint64_t kRound = 4;
+  constexpr std::uint32_t kSlot = 812103270;
+  constexpr std::uint32_t kN = 0xFFFF0001u;
+  const std::array<std::uint64_t, 2> w = rng.words(kRound, kSlot);
+  const std::uint64_t threshold = (0 - std::uint64_t{kN}) % kN;
+  ASSERT_LT(static_cast<std::uint64_t>(static_cast<__uint128_t>(w[0]) * kN),
+            threshold);
+  ASSERT_NE(rng.index(kRound, kSlot, kN),
             static_cast<std::uint32_t>(
-                (static_cast<__uint128_t>(second) * 3) >> 64));
+                (static_cast<__uint128_t>(w[0]) * kN) >> 64));
+  std::vector<std::uint32_t> slots;
+  for (std::uint32_t i = 0; i < 37; ++i) slots.push_back(kSlot - 21 + 3 * i);
+  slots[21] = kSlot;
+  for_each_isa([&] {
+    std::vector<std::uint32_t> out(slots.size(), 0);
+    plane.fill_gather(kRound, slots.data(), 0, slots.size(), kN, out.data());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      ASSERT_EQ(out[i], rng.index(kRound, slots[i], kN)) << "i=" << i;
+    }
+    std::vector<std::uint32_t> range(40, 0);
+    plane.fill_range(kRound, kSlot - 13, range.size(), kN, range.data());
+    for (std::size_t i = 0; i < range.size(); ++i) {
+      ASSERT_EQ(range[i], rng.index(kRound, kSlot - 13 + i, kN)) << "i=" << i;
+    }
+  });
 }
 
 TEST(DrawPlane, PowerOfTwoBoundNeverRetries) {
   // threshold = 0 for n = 2^k: the rejection zone is empty and the w0
   // multiply-shift must always commit.
-  const std::uint64_t w0 = 0, w1 = 0xFFFFFFFFFFFFFFFFull;
-  std::uint32_t out = 99;
-  lemire_bounded_batch(&w0, &w1, 1, 1u << 16, &out);
-  EXPECT_EQ(out, 0u);  // w0 = 0 -> index 0, NOT the w1 value
+  for_each_isa([] {
+    const std::uint64_t w0 = 0, w1 = 0xFFFFFFFFFFFFFFFFull;
+    std::uint32_t out = 99;
+    lemire_bounded_batch(&w0, &w1, 1, 1u << 16, &out);
+    EXPECT_EQ(out, 0u);  // w0 = 0 -> index 0, NOT the w1 value
+  });
 }
 
 TEST(DrawPlane, ForceAndResetControlDispatch) {
   ASSERT_TRUE(plane_isa_supported(PlaneIsa::kPortable));
   force_plane_isa(PlaneIsa::kPortable);
   EXPECT_EQ(active_plane_isa(), PlaneIsa::kPortable);
-  if (plane_isa_supported(PlaneIsa::kAvx2)) {
-    force_plane_isa(PlaneIsa::kAvx2);
-    EXPECT_EQ(active_plane_isa(), PlaneIsa::kAvx2);
+  for (const PlaneIsa isa : {PlaneIsa::kAvx2, PlaneIsa::kAvx512}) {
+    if (!plane_isa_supported(isa)) continue;
+    force_plane_isa(isa);
+    EXPECT_EQ(active_plane_isa(), isa) << isa_name(isa);
   }
   reset_plane_isa();
   // Auto-detection never selects an unsupported ISA.
